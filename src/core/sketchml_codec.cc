@@ -141,9 +141,12 @@ common::Status EncodeStream(const common::SparseGradient& stream, bool negate,
 }
 
 /// Decodes one sign stream and appends its pairs (with `sign` applied)
-/// to `out`.
+/// to `out`, one group at a time. Each group's keys decode strictly
+/// increasing (DeltaBinaryKeyCodec rejects anything else), so every group
+/// is a sorted run; where each ends in `out` is appended to `run_ends`.
 common::Status DecodeStream(common::ByteReader* reader, double sign,
-                            common::SparseGradient* out) {
+                            common::SparseGradient* out,
+                            std::vector<size_t>* run_ends) {
   uint64_t count = 0;
   SKETCHML_RETURN_IF_ERROR(reader->ReadVarint(&count));
   if (count == 0) return common::Status::Ok();
@@ -177,6 +180,7 @@ common::Status DecodeStream(common::ByteReader* reader, double sign,
     for (size_t i = 0; i < keys.size(); ++i) {
       out->push_back({keys[i], sign * quantizer.MeanOf(buckets[i])});
     }
+    run_ends->push_back(out->size());
     decoded += keys.size();
   }
   if (decoded != count) {
@@ -276,12 +280,13 @@ common::Status SketchMlCodec::DecodeImpl(const compress::EncodedGradient& in,
 
   out->clear();
   out->reserve(total);
-  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, +1.0, out));
-  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, -1.0, out));
+  std::vector<size_t> run_ends;
+  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, +1.0, out, &run_ends));
+  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, -1.0, out, &run_ends));
   if (out->size() != total) {
     return common::Status::CorruptedData("decoded pair count mismatch");
   }
-  common::SortByKey(out);
+  common::MergeSortedRuns(out, run_ends);
   return common::Status::Ok();
 }
 
@@ -379,6 +384,7 @@ common::Status QuantileOnlyCodec::DecodeImpl(
     return common::Status::CorruptedData("unknown wire version");
   }
   out->clear();
+  std::vector<size_t> run_ends;  // Each sign stream's keys are one run.
   for (int s = 0; s < 2; ++s) {
     const double sign = s == 0 ? 1.0 : -1.0;
     uint64_t count = 0;
@@ -405,8 +411,9 @@ common::Status QuantileOnlyCodec::DecodeImpl(
       }
       out->push_back({key, sign * quantizer.MeanOf(bucket)});
     }
+    run_ends.push_back(out->size());
   }
-  common::SortByKey(out);
+  common::MergeSortedRuns(out, run_ends);
   return common::Status::Ok();
 }
 

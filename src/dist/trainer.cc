@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/byte_buffer.h"
@@ -303,7 +301,9 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
   const size_t batch_size = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(n) * config_.batch_ratio));
   const int servers = cluster_.num_servers;
-  const uint64_t dim = std::max<uint64_t>(1, train_->dim());
+  const uint64_t model_dim = train_->dim();
+  const uint64_t dim = std::max<uint64_t>(1, model_dim);
+  aggregate_.Resize(model_dim);
 
   // Owning shard of a gradient key: consistent-hash ring while the
   // membership layer is active (shards can come and go — see
@@ -794,58 +794,40 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
                     {{"bytes", static_cast<double>(batch_bytes_up)}});
     }
 
-    // Phase 3b: average and apply the optimizer step. Aggregation is
-    // range-partitioned into key slices so it can run on the pool: a key
-    // belongs to exactly one slice and its additions always happen in
-    // fixed worker order inside that slice, so every float — and the
-    // sorted concatenation of the ascending slices — is bit-identical
-    // at any slice or thread count.
+    // Phase 3b: average and apply the optimizer step. One serial pass
+    // adds every contributing worker's decoded pairs into the dense
+    // accumulator in fixed worker order, so each key's float sum is
+    // independent of thread count and of the order pairs arrive in within
+    // a worker (ring-sharded workers need no merge); the drain yields the
+    // aggregate in ascending key order.
     watch.Restart();
     common::SparseGradient mean_grad;
     {
       obs::TraceSpan aggregate_span("trainer", "aggregate");
+      for (int i = 0; i < active_workers; ++i) {
+        if (!results[i].contributes) continue;
+        for (const auto& pair : results[i].decoded) {
+          // Nothing between Decode and Apply checks the index again: a key
+          // past the model would write outside the accumulator and weights.
+          if (pair.key >= model_dim) {
+            aggregate_.Clear();
+            return common::Status::CorruptedData(
+                "worker " + std::to_string(ids[i]) + " decoded key " +
+                std::to_string(pair.key) + " outside model dim " +
+                std::to_string(model_dim) + " at batch " +
+                std::to_string(gbatch));
+          }
+          aggregate_.Add(pair.key, pair.value);
+        }
+      }
       // K-of-W degradation: a degraded batch averages over the surviving
       // workers only (quorum above guarantees contributing >= 1). Fault
       // free, contributing == active_workers and this is the usual mean.
       const double inv_workers = 1.0 / static_cast<double>(contributing);
-      const auto aggregate_slice = [&](uint64_t lo, uint64_t hi) {
-        std::unordered_map<uint64_t, double> sums;
-        for (int w = 0; w < active_workers; ++w) {
-          if (!results[w].contributes) continue;
-          for (const auto& pair : results[w].decoded) {
-            if (pair.key >= lo && pair.key < hi) sums[pair.key] += pair.value;
-          }
-        }
-        common::SparseGradient slice;
-        slice.reserve(sums.size());
-        for (const auto& [key, value] : sums) {
-          slice.push_back({key, value * inv_workers});
-        }
-        common::SortByKey(&slice);
-        return slice;
-      };
-      if (pool_ != nullptr) {
-        const uint64_t slices =
-            std::min(dim, static_cast<uint64_t>(4 * num_threads_));
-        std::vector<common::TaskFuture<common::SparseGradient>> slice_tasks;
-        slice_tasks.reserve(slices);
-        for (uint64_t s = 0; s < slices; ++s) {
-          const uint64_t lo = dim * s / slices;
-          // The last slice absorbs any stray out-of-range key, exactly as
-          // the single-map path would.
-          const uint64_t hi = s + 1 == slices
-                                  ? std::numeric_limits<uint64_t>::max()
-                                  : dim * (s + 1) / slices;
-          slice_tasks.push_back(pool_->Submit(
-              [&aggregate_slice, lo, hi] { return aggregate_slice(lo, hi); }));
-        }
-        for (auto& task : slice_tasks) {
-          const common::SparseGradient slice = task.Get();
-          mean_grad.insert(mean_grad.end(), slice.begin(), slice.end());
-        }
-      } else {
-        mean_grad = aggregate_slice(0, std::numeric_limits<uint64_t>::max());
-      }
+      mean_grad.reserve(aggregate_.touched());
+      aggregate_.Drain([&](uint64_t key, double sum) {
+        mean_grad.push_back({key, sum * inv_workers});
+      });
     }
     {
       obs::TraceSpan update_span("trainer", "update");

@@ -8,6 +8,7 @@
 
 #include "common/metrics_registry.h"
 #include "common/result.h"
+#include "common/sparse.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "compress/codec.h"
@@ -331,6 +332,9 @@ class DistributedTrainer {
   ClusterConfig cluster_;
   TrainerConfig config_;
   std::unique_ptr<ml::Optimizer> optimizer_;
+  /// Driver-side sum of each batch's decoded worker gradients, over the
+  /// model's keys. Clean between batches.
+  common::KeyAccumulator aggregate_;
   EntityMetrics metrics_;
   SketchTelemetry sketch_metrics_;
   FaultMetrics fault_metrics_;

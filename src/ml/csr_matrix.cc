@@ -1,9 +1,5 @@
 #include "ml/csr_matrix.h"
 
-#include <unordered_map>
-
-#include "common/logging.h"
-
 namespace sketchml::ml {
 
 CsrMatrix CsrMatrix::FromDataset(const Dataset& data) {
@@ -37,36 +33,6 @@ double CsrMatrix::RowDot(size_t row, const DenseVector& w) const {
     sum += w[view.indices[i]] * static_cast<double>(view.values[i]);
   }
   return sum;
-}
-
-common::SparseGradient ComputeBatchGradientCsr(const Loss& loss,
-                                               const DenseVector& w,
-                                               const CsrMatrix& matrix,
-                                               size_t begin, size_t end,
-                                               double lambda) {
-  SKETCHML_CHECK_LE(begin, end);
-  SKETCHML_CHECK_LE(end, matrix.rows());
-  std::unordered_map<uint32_t, double> acc;
-  acc.reserve((end - begin) * 8);
-  const double inv_batch = end > begin ? 1.0 / (end - begin) : 0.0;
-  for (size_t row = begin; row < end; ++row) {
-    const double margin = matrix.RowDot(row, w);
-    const double scale =
-        loss.PointGradientScale(margin, matrix.label(row)) * inv_batch;
-    if (scale == 0.0) continue;
-    const CsrMatrix::RowView view = matrix.Row(row);
-    for (size_t i = 0; i < view.nnz; ++i) {
-      acc[view.indices[i]] += scale * static_cast<double>(view.values[i]);
-    }
-  }
-  common::SparseGradient grad;
-  grad.reserve(acc.size());
-  for (const auto& [key, value] : acc) {
-    const double with_reg = value + lambda * w[key];
-    if (with_reg != 0.0) grad.push_back({key, with_reg});
-  }
-  common::SortByKey(&grad);
-  return grad;
 }
 
 }  // namespace sketchml::ml

@@ -64,7 +64,9 @@ class CsrMatrix {
 };
 
 /// CSR-backed mini-batch gradient: identical semantics to
-/// `ComputeBatchGradient` (same loss, same lazy ℓ2), different storage.
+/// `ComputeBatchGradient` (same loss, same lazy ℓ2, same accumulator, so
+/// the result is bit-identical), different storage. Defined in
+/// gradient.cc beside it.
 common::SparseGradient ComputeBatchGradientCsr(const Loss& loss,
                                                const DenseVector& w,
                                                const CsrMatrix& matrix,

@@ -1,10 +1,36 @@
 #include "ml/gradient.h"
 
-#include <unordered_map>
-
 #include "common/logging.h"
+#include "ml/csr_matrix.h"
 
 namespace sketchml::ml {
+
+namespace {
+
+/// The calling thread's gradient accumulator, clean and sized to `dim`
+/// keys. One per thread: the trainer computes worker gradients
+/// concurrently on its pool, and every caller drains it with
+/// `DrainGradient` before returning, so it is clean when handed out again.
+common::KeyAccumulator& ThreadGradientAccumulator(size_t dim) {
+  thread_local common::KeyAccumulator acc;
+  acc.Resize(dim);
+  return acc;
+}
+
+/// Drains `acc` into the sorted batch gradient: adds the lazy ℓ2 term
+/// `lambda * w[key]` to every touched key and drops exact zeros.
+common::SparseGradient DrainGradient(common::KeyAccumulator* acc,
+                                     const DenseVector& w, double lambda) {
+  common::SparseGradient grad;
+  grad.reserve(acc->touched());
+  acc->Drain([&](uint64_t key, double value) {
+    const double with_reg = value + lambda * w[key];
+    if (with_reg != 0.0) grad.push_back({key, with_reg});
+  });
+  return grad;
+}
+
+}  // namespace
 
 common::SparseGradient ComputeBatchGradient(const Loss& loss,
                                             const DenseVector& w,
@@ -12,8 +38,7 @@ common::SparseGradient ComputeBatchGradient(const Loss& loss,
                                             size_t end, double lambda) {
   SKETCHML_CHECK_LE(begin, end);
   SKETCHML_CHECK_LE(end, data.size());
-  std::unordered_map<uint32_t, double> acc;
-  acc.reserve((end - begin) * 8);
+  common::KeyAccumulator& acc = ThreadGradientAccumulator(w.size());
   const double inv_batch = end > begin ? 1.0 / (end - begin) : 0.0;
   for (size_t i = begin; i < end; ++i) {
     const Instance& x = data.instances()[i];
@@ -21,17 +46,32 @@ common::SparseGradient ComputeBatchGradient(const Loss& loss,
     const double scale = loss.PointGradientScale(margin, x.label) * inv_batch;
     if (scale == 0.0) continue;
     for (const auto& f : x.features) {
-      acc[f.index] += scale * static_cast<double>(f.value);
+      acc.Add(f.index, scale * static_cast<double>(f.value));
     }
   }
-  common::SparseGradient grad;
-  grad.reserve(acc.size());
-  for (const auto& [key, value] : acc) {
-    const double with_reg = value + lambda * w[key];
-    if (with_reg != 0.0) grad.push_back({key, with_reg});
+  return DrainGradient(&acc, w, lambda);
+}
+
+common::SparseGradient ComputeBatchGradientCsr(const Loss& loss,
+                                               const DenseVector& w,
+                                               const CsrMatrix& matrix,
+                                               size_t begin, size_t end,
+                                               double lambda) {
+  SKETCHML_CHECK_LE(begin, end);
+  SKETCHML_CHECK_LE(end, matrix.rows());
+  common::KeyAccumulator& acc = ThreadGradientAccumulator(w.size());
+  const double inv_batch = end > begin ? 1.0 / (end - begin) : 0.0;
+  for (size_t row = begin; row < end; ++row) {
+    const double margin = matrix.RowDot(row, w);
+    const double scale =
+        loss.PointGradientScale(margin, matrix.label(row)) * inv_batch;
+    if (scale == 0.0) continue;
+    const CsrMatrix::RowView view = matrix.Row(row);
+    for (size_t i = 0; i < view.nnz; ++i) {
+      acc.Add(view.indices[i], scale * static_cast<double>(view.values[i]));
+    }
   }
-  common::SortByKey(&grad);
-  return grad;
+  return DrainGradient(&acc, w, lambda);
 }
 
 double ComputeMeanLoss(const Loss& loss, const DenseVector& w,

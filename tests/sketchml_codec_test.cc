@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "common/sparse.h"
+#include "common/thread_pool.h"
 #include "compress/raw_codec.h"
 #include "core/sketchml_config.h"
 
@@ -228,6 +229,42 @@ TEST(SketchMlCodecTest, SingleElementGradient) {
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0].key, 42u);
   EXPECT_NEAR(decoded[0].value, -0.125, 1e-9);
+}
+
+// Decode merges the per-group key runs of both sign streams (up to 2×G
+// sorted runs) instead of sorting them; every run shape must still come
+// out strictly increasing and equal to the sent keys.
+TEST(SketchMlCodecTest, DecodedKeysStrictlyIncreaseForEveryRunShape) {
+  common::ThreadPool pool(2);
+  for (const bool pooled : {false, true}) {
+    for (const int groups : {1, 8}) {
+      for (const int sign : {+1, -1, 0}) {  // All positive/negative, mixed.
+        for (const size_t count : {size_t{1}, size_t{60}, size_t{4000}}) {
+          SketchMlConfig config;
+          config.num_groups = groups;
+          config.seed = 500 + count;
+          SketchMlCodec codec(config);
+          // The pool only engages when both sign streams are non-empty.
+          if (pooled) codec.SetThreadPool(&pool);
+          common::SparseGradient grad =
+              MakeGradient(count, 1 << 20, 600 + count * 3 + groups);
+          if (sign != 0) {
+            for (auto& pair : grad) {
+              pair.value = sign * (std::abs(pair.value) + 1e-9);
+            }
+          }
+          compress::EncodedGradient msg;
+          ASSERT_TRUE(codec.Encode(grad, &msg).ok());
+          common::SparseGradient decoded;
+          ASSERT_TRUE(codec.Decode(msg, &decoded).ok());
+          EXPECT_TRUE(common::IsSortedByKey(decoded))
+              << "pooled=" << pooled << " groups=" << groups
+              << " sign=" << sign << " count=" << count;
+          EXPECT_EQ(common::Keys(decoded), common::Keys(grad));
+        }
+      }
+    }
+  }
 }
 
 TEST(SketchMlCodecTest, RejectsUnsortedInput) {

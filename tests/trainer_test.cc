@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <string>
+#include <utility>
 
+#include "compress/raw_codec.h"
 #include "core/codec_factory.h"
 #include "dist/network_model.h"
 #include "ml/loss.h"
@@ -32,6 +36,78 @@ struct Fixture {
 
 std::unique_ptr<compress::GradientCodec> Codec(const std::string& name) {
   return std::move(core::MakeCodec(name)).value();
+}
+
+// Sends like adam-double, but while `poison` is set, lane kBadLane's
+// decoder also yields key `dim`: a codec bug that hands the driver an index
+// past the model. The server/broadcast lane (not a fork) never does.
+class OutOfRangeKeyCodec : public compress::GradientCodec {
+ public:
+  static constexpr int64_t kBadLane = 2;
+
+  OutOfRangeKeyCodec(uint64_t dim, std::shared_ptr<std::atomic<bool>> poison,
+                     int64_t lane = -1)
+      : dim_(dim), poison_(std::move(poison)), lane_(lane) {}
+
+  std::string Name() const override { return "out-of-range-key"; }
+  bool IsLossless() const override { return true; }
+  std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {
+    return std::make_unique<OutOfRangeKeyCodec>(dim_, poison_,
+                                                static_cast<int64_t>(lane));
+  }
+
+ protected:
+  common::Status EncodeImpl(const common::SparseGradient& grad,
+                            compress::EncodedGradient* out) override {
+    return raw_.Encode(grad, out);
+  }
+  common::Status DecodeImpl(const compress::EncodedGradient& in,
+                            common::SparseGradient* out) override {
+    SKETCHML_RETURN_IF_ERROR(raw_.Decode(in, out));
+    if (lane_ == kBadLane && poison_->load()) out->push_back({dim_, 1.0});
+    return common::Status::Ok();
+  }
+
+ private:
+  compress::RawCodec raw_;
+  uint64_t dim_;
+  std::shared_ptr<std::atomic<bool>> poison_;
+  int64_t lane_;
+};
+
+TEST(TrainerTest, DecodedKeyOutsideModelFailsBatchAndLeavesAggregateClean) {
+  Fixture f;
+  const uint64_t dim = f.train->dim();
+  auto poison = std::make_shared<std::atomic<bool>>(true);
+  ClusterConfig cluster;
+  cluster.num_workers = 4;
+  TrainerConfig config;
+  config.num_threads = 2;
+  config.evaluate_test_loss = false;
+  DistributedTrainer trainer(f.train.get(), f.test.get(), f.loss.get(),
+                             std::make_unique<OutOfRangeKeyCodec>(dim, poison),
+                             cluster, config);
+  const auto failed = trainer.RunEpoch();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), common::StatusCode::kCorruptedData);
+  const std::string& message = failed.status().message();
+  EXPECT_NE(message.find("worker 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("key " + std::to_string(dim)), std::string::npos)
+      << message;
+
+  // The bad key came after workers 0-2's valid pairs were summed, and the
+  // batch failed before the optimizer step. With the accumulator left
+  // clean, the next epoch is exactly a fresh trainer's first.
+  poison->store(false);
+  const auto recovered = trainer.RunEpoch();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  DistributedTrainer fresh(f.train.get(), f.test.get(), f.loss.get(),
+                           std::make_unique<OutOfRangeKeyCodec>(dim, poison),
+                           cluster, config);
+  const auto reference = fresh.RunEpoch();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(recovered->train_loss, reference->train_loss);
+  EXPECT_EQ(trainer.optimizer().weights(), fresh.optimizer().weights());
 }
 
 TEST(NetworkModelTest, TransferSecondsIsLinearInBytes) {
