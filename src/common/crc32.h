@@ -10,8 +10,8 @@ namespace sketchml::common {
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte buffer.
 ///
 /// Gradient messages crossing a real network can arrive corrupted; the
-/// framed codec wrapper (`compress::ChecksummedCodec`) uses this to turn
-/// silent corruption into a kCorruptedData status.
+/// message frame (`common::FrameMessage`) uses this to turn silent
+/// corruption into a kCorruptedData status.
 uint32_t Crc32(const void* data, size_t len);
 
 inline uint32_t Crc32(const std::vector<uint8_t>& bytes) {

@@ -8,9 +8,9 @@
 
 namespace sketchml::common {
 
-/// Checksummed message framing for the distributed simulator's fault
-/// path: an 8-byte header in front of the payload so the receiver can
-/// *detect* wire corruption instead of feeding garbage bytes to a codec.
+/// The repo's one checksummed message frame: an 8-byte header in front of
+/// the payload so the receiver can *detect* wire corruption instead of
+/// feeding garbage bytes to a codec.
 ///
 /// Wire format (little-endian):
 ///   u32 length          payload byte count
@@ -19,11 +19,11 @@ namespace sketchml::common {
 ///
 /// The length field catches truncation and trailing garbage; the CRC
 /// catches bit flips. `UnframeMessage` returns kCorruptedData on any
-/// mismatch and never reads past the framed buffer. (The codec-level
-/// `compress::ChecksummedCodec` offers the same guarantee as a trailing
-/// footer inside one codec's message; this helper frames *any* payload
-/// and is what `dist::DistributedTrainer` applies to every message when
-/// a FaultPlan is active.)
+/// mismatch and never reads past the framed buffer. Three users share
+/// it: `dist::DistributedTrainer` frames every gather message while a
+/// FaultPlan is active, the "+crc" codec decorator
+/// (`compress::ChecksummedCodec`) frames its inner codec's message, and
+/// `dist::SealCheckpoint` frames checkpoint blobs.
 
 /// Bytes the frame adds in front of the payload.
 inline constexpr size_t kFrameHeaderBytes = 8;

@@ -1,7 +1,6 @@
 #include "compress/checksummed_codec.h"
 
-#include "common/byte_buffer.h"
-#include "common/crc32.h"
+#include "common/framing.h"
 
 namespace sketchml::compress {
 
@@ -9,34 +8,14 @@ common::Status ChecksummedCodec::EncodeImpl(const common::SparseGradient& grad,
                                             EncodedGradient* out) {
   EncodedGradient inner_msg;
   SKETCHML_RETURN_IF_ERROR(inner_->Encode(grad, &inner_msg));
-  const uint32_t crc = common::Crc32(inner_msg.bytes);
-  const uint32_t length = static_cast<uint32_t>(inner_msg.bytes.size());
-  common::ByteWriter writer(inner_msg.bytes.size() + 8);
-  writer.WriteBytes(inner_msg.bytes);
-  writer.WriteU32(length);
-  writer.WriteU32(crc);
-  out->bytes = writer.TakeBuffer();
+  common::FrameMessage(inner_msg.bytes, &out->bytes);
   return common::Status::Ok();
 }
 
 common::Status ChecksummedCodec::DecodeImpl(const EncodedGradient& in,
                                             common::SparseGradient* out) {
-  if (in.bytes.size() < 8) {
-    return common::Status::CorruptedData("message shorter than CRC frame");
-  }
-  const size_t payload_len = in.bytes.size() - 8;
-  common::ByteReader footer(in.bytes.data() + payload_len, 8);
-  uint32_t length = 0, crc = 0;
-  SKETCHML_RETURN_IF_ERROR(footer.ReadU32(&length));
-  SKETCHML_RETURN_IF_ERROR(footer.ReadU32(&crc));
-  if (length != payload_len) {
-    return common::Status::CorruptedData("CRC frame length mismatch");
-  }
-  if (common::Crc32(in.bytes.data(), payload_len) != crc) {
-    return common::Status::CorruptedData("CRC mismatch");
-  }
   EncodedGradient inner_msg;
-  inner_msg.bytes.assign(in.bytes.begin(), in.bytes.begin() + payload_len);
+  SKETCHML_RETURN_IF_ERROR(common::UnframeMessage(in.bytes, &inner_msg.bytes));
   return inner_->Decode(inner_msg, out);
 }
 

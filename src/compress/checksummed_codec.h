@@ -10,10 +10,11 @@
 namespace sketchml::compress {
 
 /// Decorator that frames any codec's message with a length + CRC-32
-/// footer, turning silent wire corruption into a kCorruptedData status
+/// header, turning silent wire corruption into a kCorruptedData status
 /// before the inner decoder ever parses the bytes.
 ///
-/// Wire format: inner message | u32 length | u32 crc32(inner message).
+/// Wire format: the `common::FrameMessage` frame around the inner
+/// message (u32 length | u32 crc32(inner message) | inner message).
 class ChecksummedCodec : public GradientCodec {
  public:
   explicit ChecksummedCodec(std::unique_ptr<GradientCodec> inner)
@@ -22,11 +23,8 @@ class ChecksummedCodec : public GradientCodec {
   std::string Name() const override { return inner_->Name() + "+crc"; }
   bool IsLossless() const override { return inner_->IsLossless(); }
 
-  /// Forkable iff the wrapped codec is.
   std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {
-    auto inner_fork = inner_->Fork(lane);
-    if (inner_fork == nullptr) return nullptr;
-    return std::make_unique<ChecksummedCodec>(std::move(inner_fork));
+    return std::make_unique<ChecksummedCodec>(inner_->Fork(lane));
   }
 
   void SetThreadPool(common::ThreadPool* pool) override {

@@ -63,23 +63,22 @@ class GradientCodec {
   /// returning a non-OK Status (typically kCorruptedData) on malformed
   /// input — never crashing, hanging, or attempting huge allocations.
   /// Undetectably corrupted input may decode to wrong values; wrap
-  /// messages with "+crc" (ChecksummedCodec) or `common::FrameMessage`
-  /// when detection is required. Pinned by tests/fuzz_decode_test.cc for
-  /// every registered codec.
+  /// messages in the `common::FrameMessage` CRC frame (the "+crc"
+  /// ChecksummedCodec, or the trainer's fault path) when detection is
+  /// required. A message that passes its frame check but fails Decode is
+  /// a codec fault, not wire damage: the trainer fails the batch with
+  /// this status instead of retrying. Pinned by tests/fuzz_decode_test.cc
+  /// for every registered codec.
   [[nodiscard]] common::Status Decode(const EncodedGradient& in,
                                       common::SparseGradient* out);
 
   /// Returns an independent codec instance for seed lane `lane`, suitable
-  /// for concurrent use next to `this` (e.g. one instance per simulated
-  /// worker). Seeded codecs derive the lane's seed with
+  /// for concurrent use next to `this` (the trainer forks one per
+  /// simulated worker). Seeded codecs derive the lane's seed with
   /// `common::LaneSeed`, so a fork's message stream is deterministic and
   /// never depends on how calls interleave across lanes. Stateless codecs
-  /// return a plain copy. Returns nullptr when the codec cannot be forked;
-  /// callers must then serialize access to the original instance.
-  virtual std::unique_ptr<GradientCodec> Fork(uint64_t lane) const {
-    (void)lane;
-    return nullptr;
-  }
+  /// return a plain copy; decorators fork their inner codec. Never null.
+  virtual std::unique_ptr<GradientCodec> Fork(uint64_t lane) const = 0;
 
   /// Serializes this instance's mutable stream state (RNG lane position,
   /// error-feedback residuals, call counters — whatever makes the *next*

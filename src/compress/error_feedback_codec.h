@@ -34,11 +34,9 @@ class ErrorFeedbackCodec : public GradientCodec {
   bool IsLossless() const override { return inner_->IsLossless(); }
 
   /// Forks start with an empty residual — exactly the per-sender state a
-  /// fresh worker would hold. Forkable iff the wrapped codec is.
+  /// fresh worker would hold.
   std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {
-    auto inner_fork = inner_->Fork(lane);
-    if (inner_fork == nullptr) return nullptr;
-    return std::make_unique<ErrorFeedbackCodec>(std::move(inner_fork));
+    return std::make_unique<ErrorFeedbackCodec>(inner_->Fork(lane));
   }
 
   void SetThreadPool(common::ThreadPool* pool) override {

@@ -69,12 +69,7 @@ MakeCodecBank(const std::string& name, int lanes,
   std::vector<std::unique_ptr<compress::GradientCodec>> bank;
   bank.reserve(lanes);
   for (int lane = 0; lane < lanes; ++lane) {
-    auto fork = proto->Fork(static_cast<uint64_t>(lane));
-    if (fork == nullptr) {
-      return common::Status::InvalidArgument("codec " + name +
-                                             " does not support forking");
-    }
-    bank.push_back(std::move(fork));
+    bank.push_back(proto->Fork(static_cast<uint64_t>(lane)));
   }
   return bank;
 }

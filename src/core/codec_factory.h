@@ -29,8 +29,7 @@ common::Result<std::unique_ptr<compress::GradientCodec>> MakeCodec(
 /// seed lane (lane i holds seed `common::LaneSeed(config.seed, i)` for
 /// seeded codecs). Each instance owns its message counter, so concurrent
 /// simulated workers produce deterministic byte streams regardless of how
-/// their Encode calls interleave. Fails if the codec is unknown or does
-/// not support forking.
+/// their Encode calls interleave. Fails if the codec is unknown.
 common::Result<std::vector<std::unique_ptr<compress::GradientCodec>>>
 MakeCodecBank(const std::string& name, int lanes,
               const SketchMlConfig& config = SketchMlConfig());

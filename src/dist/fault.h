@@ -18,9 +18,10 @@ namespace sketchml::dist {
 /// of (seed, batch, worker, server, attempt) and therefore identical
 /// run-to-run and at any thread count.
 ///
-/// With every probability at zero (`Active()` false) the trainer takes
-/// its fault-free code path: no framing, no retries, and bit-identical
-/// messages, stats, and losses to a build without this layer.
+/// With every probability at zero (`Active()` false) no draw can fire:
+/// the trainer's one gather loop sends each message once, unframed, and
+/// its messages, stats, and losses are bit-identical to a build without
+/// this layer.
 struct FaultPlan {
   uint64_t seed = 1;  // Base seed for all injection decisions.
 
@@ -42,11 +43,13 @@ struct FaultPlan {
   int max_retries = 3;             // Retransmit budget per message.
   double backoff_seconds = 1e-3;   // First retry backoff; doubles each
                                    // attempt (exponential backoff).
-  int min_quorum = 1;  // Minimum surviving workers to apply a batch;
-                       // fewer fails the epoch with kUnavailable.
+  int min_quorum = 1;  // Minimum surviving workers to apply a batch
+                       // (capped at the workers the batch sent work
+                       // to); fewer fails the epoch with kUnavailable.
 
-  /// True when any fault can actually fire. Inactive plans cost nothing:
-  /// the trainer never consults the injector and frames no messages.
+  /// True when any fault can actually fire. The trainer CRC-frames its
+  /// gather messages only for active plans; an inactive plan's draws
+  /// never fire, so it changes nothing.
   bool Active() const {
     return drop_prob > 0.0 || corrupt_prob > 0.0 || straggle_prob > 0.0 ||
            crash_prob > 0.0 || stall_prob > 0.0;

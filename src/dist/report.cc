@@ -491,11 +491,6 @@ RunReport BuildRunReport(const RunSeries& series) {
 }
 
 std::string RenderRunReport(const RunReport& report) {
-  return RenderRunReport(report, RenderOptions{});
-}
-
-std::string RenderRunReport(const RunReport& report,
-                            const RenderOptions& options) {
   std::ostringstream out;
   out << "run: git_sha=" << report.git_sha;
   for (const auto& [key, value] : report.meta) {
@@ -565,16 +560,14 @@ std::string RenderRunReport(const RunReport& report,
   }
 
   if (!report.epochs.empty()) {
-    // Straggler detection defaults to the p99 of each worker's per-batch
-    // compute-latency sketch (tail-sensitive); --straggler-mean restores
-    // the legacy mean-based columns, which are also the fallback when the
-    // series carries no sketch summaries.
-    const bool have_p99 =
+    // Straggler detection uses the p99 of each worker's per-batch
+    // compute-latency sketch (tail-sensitive); a series that carries no
+    // sketch summaries falls back to the mean-based columns.
+    const bool use_p99 =
         std::any_of(report.epochs.begin(), report.epochs.end(),
                     [](const EpochRow& r) {
                       return r.p99_straggler_worker >= 0;
                     });
-    const bool use_p99 = have_p99 && !options.straggler_mean;
     out << "\n== per-epoch summary ==\n";
     out << (use_p99
                 ? "  epoch       total     compute      encode  "
@@ -831,30 +824,17 @@ std::string RenderDiff(const DiffResult& diff, const DiffOptions& options) {
   return out.str();
 }
 
-common::Result<TraceSummary> SummarizeTrace(std::string_view json_text) {
-  SKETCHML_ASSIGN_OR_RETURN(const JsonValue root,
-                            JsonValue::Parse(json_text));
-  if (!root.is_object()) {
-    return common::Status::InvalidArgument("trace root is not an object");
-  }
+TraceSummary SummarizeTrace(const ParsedTrace& trace) {
   TraceSummary summary;
-  summary.dropped_events = root.NumberOr("droppedEvents", 0.0);
-  const JsonValue* events = root.Find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    return common::Status::InvalidArgument("trace has no traceEvents array");
-  }
+  summary.dropped_events = static_cast<double>(trace.dropped_events);
   std::map<std::pair<std::string, std::string>, TraceSummary::Row> rows;
-  for (const JsonValue& event : events->array_items()) {
-    if (event.StringOr("ph", "") != "X") continue;  // Skip metadata.
-    const std::string cat = event.StringOr("cat", "");
-    const std::string name = event.StringOr("name", "");
-    const double dur_us = event.NumberOr("dur", 0.0);
-    TraceSummary::Row& row = rows[{cat, name}];
-    row.category = cat;
-    row.name = name;
+  for (const TraceSpanRecord& span : trace.spans) {
+    TraceSummary::Row& row = rows[{span.category, span.name}];
+    row.category = span.category;
+    row.name = span.name;
     ++row.count;
-    row.total_us += dur_us;
-    row.max_us = std::max(row.max_us, dur_us);
+    row.total_us += span.dur_us;
+    row.max_us = std::max(row.max_us, span.dur_us);
   }
   summary.rows.reserve(rows.size());
   for (auto& [key, row] : rows) summary.rows.push_back(std::move(row));
@@ -863,16 +843,6 @@ common::Result<TraceSummary> SummarizeTrace(std::string_view json_text) {
               return a.total_us > b.total_us;
             });
   return summary;
-}
-
-common::Result<TraceSummary> LoadTraceSummary(const std::string& path) {
-  SKETCHML_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
-  auto parsed = SummarizeTrace(text);
-  if (!parsed.ok()) {
-    return common::Status::InvalidArgument(path + ": " +
-                                           parsed.status().message());
-  }
-  return parsed;
 }
 
 std::string RenderTraceSummary(const TraceSummary& summary) {

@@ -10,6 +10,7 @@
 #include "common/metrics_registry.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "dist/trace_analysis.h"
 
 namespace sketchml::dist {
 
@@ -260,17 +261,8 @@ struct RunReport {
 /// a run recorded without labels still yields the aggregate section).
 RunReport BuildRunReport(const RunSeries& series);
 
-/// Rendering options for the single-run report.
-struct RenderOptions {
-  /// Use the legacy mean-based straggler columns even when sketch-based
-  /// p99 detection is available (--straggler-mean; kept for one release).
-  bool straggler_mean = false;
-};
-
 /// Human-readable rendering (what the CLI prints).
 std::string RenderRunReport(const RunReport& report);
-std::string RenderRunReport(const RunReport& report,
-                            const RenderOptions& options);
 
 /// A/B comparison of two runs' final samples.
 struct DiffOptions {
@@ -324,8 +316,9 @@ DiffResult DiffRuns(const RunSeries& baseline, const RunSeries& candidate,
                     const DiffOptions& options);
 std::string RenderDiff(const DiffResult& diff, const DiffOptions& options);
 
-/// Aggregated view of a Chrome trace (`*.trace.json`): total/max span
-/// duration per (category, name), plus the dropped-events footer.
+/// Aggregated view of a parsed Chrome trace (`*.trace.json`, read with
+/// LoadChromeTrace): total/max span duration per (category, name), plus
+/// the dropped-events footer.
 struct TraceSummary {
   struct Row {
     std::string category;
@@ -338,8 +331,7 @@ struct TraceSummary {
   double dropped_events = 0.0;
 };
 
-common::Result<TraceSummary> SummarizeTrace(std::string_view json_text);
-common::Result<TraceSummary> LoadTraceSummary(const std::string& path);
+TraceSummary SummarizeTrace(const ParsedTrace& trace);
 std::string RenderTraceSummary(const TraceSummary& summary);
 
 /// Renders a `*.metrics.jsonl` snapshot dump as a sorted table.

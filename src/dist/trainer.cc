@@ -160,16 +160,8 @@ DistributedTrainer::DistributedTrainer(
                      : std::max(1, config_.num_threads);
   worker_codecs_.reserve(fleet);
   for (int w = 0; w < fleet; ++w) {
-    auto fork = codec_->Fork(static_cast<uint64_t>(w));
-    if (fork == nullptr) {
-      // Unforkable codec: all workers must share the one instance, which
-      // is only safe serially.
-      worker_codecs_.clear();
-      num_threads_ = 1;
-      break;
-    }
-    fork->SetMetricLabel("worker", std::to_string(w));
-    worker_codecs_.push_back(std::move(fork));
+    worker_codecs_.push_back(codec_->Fork(static_cast<uint64_t>(w)));
+    worker_codecs_.back()->SetMetricLabel("worker", std::to_string(w));
   }
   if (num_threads_ > 1) {
     pool_ = std::make_unique<common::ThreadPool>(num_threads_, "trainer");
@@ -212,7 +204,6 @@ DistributedTrainer::DistributedTrainer(
     // Sketch-native latency telemetry: per-worker KLL-backed sketches
     // plus the cluster-wide slots the driver merges them into at every
     // epoch boundary. See SketchTelemetry in the header.
-    sketch_metrics_.enabled = true;
     auto& sketches = obs::SketchHistogramRegistry::Global();
     for (int w = 0; w < fleet; ++w) {
       const std::string ws = std::to_string(w);
@@ -302,19 +293,7 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
       1, static_cast<size_t>(static_cast<double>(n) * config_.batch_ratio));
   const int servers = cluster_.num_servers;
   const uint64_t model_dim = train_->dim();
-  const uint64_t dim = std::max<uint64_t>(1, model_dim);
   aggregate_.Resize(model_dim);
-
-  // Owning shard of a gradient key: consistent-hash ring while the
-  // membership layer is active (shards can come and go — see
-  // ReconfigureShards), the original key-range partition otherwise
-  // (identity when servers == 1), so churn-off byte streams stay
-  // bit-identical to the fixed-fleet trainer.
-  const bool elastic = membership_active_;
-  const auto shard_of = [&](uint64_t key) {
-    if (elastic) return ring_.ShardOf(key);
-    return static_cast<int>(key * static_cast<uint64_t>(servers) / dim);
-  };
 
   EpochStats stats;
   stats.epoch = ++epochs_run_;
@@ -364,8 +343,7 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
       // decode_seconds); lets the driver publish per-server slices.
       std::vector<double> shard_decode_seconds;
       // Modeled seconds on each server's gather link, including every
-      // retransmit attempt and backoff wait. Only filled on the fault
-      // path; the fault-free reduce derives link time from shard_bytes.
+      // retransmit attempt and backoff wait.
       std::vector<double> shard_link_seconds;
       uint64_t messages = 0;
       size_t nnz = 0;
@@ -393,7 +371,6 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
       double retry_seconds = 0.0;  // Backoff + retransmit link time.
     };
     const uint64_t gbatch = batches_run_;
-    const bool faults = faults_active_;
 
     // Causal root of this batch. Each worker chain (compute → encode →
     // per-attempt transfer → decode) adopts this context on whatever
@@ -417,17 +394,16 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
       r.shard_bytes.assign(servers, 0);
       r.shard_decode_seconds.assign(servers, 0.0);
       r.shard_link_seconds.assign(servers, 0.0);
-      if (faults && injector_.WorkerCrashed(gbatch, w)) {
+      if (injector_.WorkerCrashed(gbatch, w)) {
         // Crash-for-k-batches: the executor is down, computes nothing and
         // sends nothing. It rejoins via the (fault-free) weight broadcast.
         r.crashed = true;
         r.contributes = false;
         return r;
       }
-      const double straggle =
-          faults ? injector_.StraggleFactor(gbatch, w) : 1.0;
+      const double straggle = injector_.StraggleFactor(gbatch, w);
       r.straggled = straggle > 1.0;
-      compress::GradientCodec* codec = WorkerCodec(w);
+      compress::GradientCodec* codec = worker_codecs_[w].get();
       // Cross-thread hand-off: this task may run on a pool thread, so
       // adopt the batch's context and open this worker's push span under
       // it. Inner spans (compute below, the codec's encode/decode, the
@@ -453,25 +429,8 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
       }
       r.compute_seconds = task_watch.Restart() * straggle;
       r.nnz = grad.size();
-
-      // Partition by server shard (a single pass: keys are sorted and
-      // shard ranges are contiguous).
-      std::vector<common::SparseGradient> per_shard(servers);
-      if (servers == 1) {
-        per_shard[0] = std::move(grad);
-      } else {
-        const size_t hint = grad.size() / static_cast<size_t>(servers) + 1;
-        for (auto& piece : per_shard) piece.reserve(hint);
-        for (const auto& pair : grad) {
-          const int dest = shard_of(pair.key);
-          // A key >= dim would compute a shard past the last server and
-          // corrupt the neighbouring vector silently.
-          SKETCHML_DCHECK_GE(dest, 0);
-          SKETCHML_DCHECK_LT(dest, servers)
-              << "gradient key " << pair.key << " outside model dim " << dim;
-          per_shard[dest].push_back(pair);
-        }
-      }
+      const std::vector<common::SparseGradient> per_shard =
+          SplitByShard(std::move(grad));
 
       // Recovery error: codecs keep keys exact, so walk the sorted
       // sent/decoded lists in lockstep and accumulate |sent - got|.
@@ -498,94 +457,75 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
         r.encode_seconds += task_watch.Restart() * straggle;
         ++r.messages;
 
-        if (!faults) {
-          r.shard_bytes[s] = msg.size();
-          // Phase 3a: the owning server decodes (serial per server, but
-          // servers run in parallel — approximate with the sum / servers).
-          common::SparseGradient decoded;
-          r.status = codec->Decode(msg, &decoded);
-          if (!r.status.ok()) return r;
-          const double decode_elapsed = task_watch.Restart() / servers;
-          r.decode_seconds += decode_elapsed;
-          r.shard_decode_seconds[s] = decode_elapsed;
-          if (metrics_.enabled) accumulate_recovery(per_shard[s], decoded);
-          r.decoded.insert(r.decoded.end(), decoded.begin(), decoded.end());
-          if (batch_ctx.valid()) {
-            // Modeled clean transfer of this shard message (single
-            // attempt), parented under the push span via the context
-            // stack. Emitted outside the decode timing window.
-            obs::EmitSpan(
-                "network", "transfer", obs::NowNs(),
-                static_cast<uint64_t>(
-                    cluster_.network.TransferSeconds(msg.size()) * 1e9),
-                {{"attempt", 0.0},
-                 {"bytes", static_cast<double>(msg.size())}});
-          }
-          continue;
-        }
-
-        // Fault path: CRC-frame the payload — the framed bytes are what
-        // crosses the wire — then walk the retransmit loop. Every attempt
-        // charges one transfer of the framed message to this shard's
-        // gather link; each retry additionally waits out an exponential
-        // backoff. Drop/corrupt decisions are pure functions of
-        // (seed, batch, worker, server, attempt), so the sequence is
-        // replayable and independent of thread interleaving.
-        std::vector<uint8_t> framed;
-        common::FrameMessage(msg.bytes, &framed);
-        r.shard_bytes[s] = framed.size();
+        // What crosses the wire: the message itself, or with an active
+        // plan the message inside a CRC frame, so the server can tell wire
+        // damage from a codec fault. Every attempt charges one transfer to
+        // this shard's gather link; each retry first waits out an
+        // exponential backoff. Drop/corrupt decisions are pure functions
+        // of (seed, batch, worker, server, attempt), so the sequence is
+        // replayable and independent of thread interleaving; an inactive
+        // plan's draws never fire, so it sends exactly one attempt.
+        compress::EncodedGradient framed;
+        if (faults_active_) common::FrameMessage(msg.bytes, &framed.bytes);
+        const compress::EncodedGradient& sent = faults_active_ ? framed : msg;
+        const double transfer = cluster_.network.TransferSeconds(sent.size());
+        r.shard_bytes[s] = sent.size();
         bool delivered = false;
         const int attempts = injector_.plan().max_retries + 1;
         for (int attempt = 0; attempt < attempts; ++attempt) {
+          const double backoff =
+              attempt > 0 ? injector_.BackoffSeconds(attempt) : 0.0;
           if (attempt > 0) {
             ++r.retries;
-            r.retransmit_bytes += framed.size();
-            r.retry_seconds += injector_.BackoffSeconds(attempt) +
-                               cluster_.network.TransferSeconds(framed.size());
+            r.retransmit_bytes += sent.size();
+            r.retry_seconds += backoff + transfer;
           }
-          r.shard_link_seconds[s] +=
-              cluster_.network.TransferSeconds(framed.size());
-          if (attempt > 0) {
-            r.shard_link_seconds[s] += injector_.BackoffSeconds(attempt);
-          }
+          // Two adds, transfer first: one `+= transfer + backoff` would
+          // round differently and move the modeled seconds.
+          r.shard_link_seconds[s] += transfer;
+          r.shard_link_seconds[s] += backoff;
           if (batch_ctx.valid()) {
             // Modeled wire time for this delivery attempt (retries also
             // include the backoff wait that preceded them), one span per
             // attempt so retry amplification is visible in the tree.
-            obs::EmitSpan(
-                "network", "transfer", obs::NowNs(),
-                static_cast<uint64_t>(
-                    (cluster_.network.TransferSeconds(framed.size()) +
-                     (attempt > 0 ? injector_.BackoffSeconds(attempt) : 0.0)) *
-                    1e9),
-                {{"attempt", static_cast<double>(attempt)},
-                 {"bytes", static_cast<double>(framed.size())}});
+            obs::EmitSpan("network", "transfer", obs::NowNs(),
+                          static_cast<uint64_t>((transfer + backoff) * 1e9),
+                          {{"attempt", static_cast<double>(attempt)},
+                           {"bytes", static_cast<double>(sent.size())}});
           }
           if (injector_.ShouldDrop(gbatch, w, s, attempt)) {
             ++r.injected_drops;
             continue;  // Vanished in flight; the sender times out, resends.
           }
-          std::vector<uint8_t> wire = framed;
+          const compress::EncodedGradient* received = &sent;
+          compress::EncodedGradient damaged;
           if (injector_.ShouldCorrupt(gbatch, w, s, attempt)) {
             ++r.injected_corruptions;
-            injector_.Corrupt(&wire, gbatch, w, s, attempt);
+            damaged = sent;
+            injector_.Corrupt(&damaged.bytes, gbatch, w, s, attempt);
+            received = &damaged;
           }
-          // Server side: validate the frame, then decode the payload. A
-          // detected corruption is NACKed and retried; the CPU spent
-          // detecting it is charged to decode like any delivered message.
+          // Phase 3a, server side: check the frame, then decode (serial per
+          // server, but servers run in parallel, so charge the time /
+          // servers). A damaged frame is NACKed and resent; its check time
+          // is charged to decode like any delivered message.
           task_watch.Restart();
-          std::vector<uint8_t> payload;
-          common::Status receive = common::UnframeMessage(wire, &payload);
-          common::SparseGradient decoded;
-          if (receive.ok()) {
-            compress::EncodedGradient inner;
-            inner.bytes = std::move(payload);
-            receive = codec->Decode(inner, &decoded);
+          common::Status frame_check;
+          compress::EncodedGradient payload;
+          if (faults_active_) {
+            frame_check = common::UnframeMessage(received->bytes,
+                                                 &payload.bytes);
+            received = &payload;
           }
+          common::SparseGradient decoded;
+          if (frame_check.ok()) r.status = codec->Decode(*received, &decoded);
           const double decode_elapsed = task_watch.Restart() / servers;
           r.decode_seconds += decode_elapsed;
           r.shard_decode_seconds[s] += decode_elapsed;
-          if (!receive.ok()) continue;  // Corruption detected: retry.
+          if (!frame_check.ok()) continue;
+          // Intact bytes the codec cannot decode are a codec fault, not
+          // wire damage: resending them cannot help, so the batch fails.
+          if (!r.status.ok()) return r;
           delivered = true;
           if (metrics_.enabled) accumulate_recovery(per_shard[s], decoded);
           r.decoded.insert(r.decoded.end(), decoded.begin(), decoded.end());
@@ -660,41 +600,34 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
         if (r.shard_bytes[s] == 0) continue;
         stats.bytes_up += r.shard_bytes[s];
         batch_bytes_up += r.shard_bytes[s];
-        // On the fault path the worker already modeled its link time
-        // (every retransmit attempt plus backoff waits); fault-free, one
-        // clean transfer of the message.
-        shard_gather_seconds[s] +=
-            faults ? r.shard_link_seconds[s]
-                   : cluster_.network.TransferSeconds(r.shard_bytes[s]);
+        shard_gather_seconds[s] += r.shard_link_seconds[s];
       }
-      if (faults) {
-        stats.injected_faults += r.injected_drops + r.injected_corruptions +
-                                 (r.straggled ? 1 : 0) + (r.crashed ? 1 : 0);
-        stats.retries += r.retries;
-        stats.retransmit_bytes += r.retransmit_bytes;
-        batch_retries += r.retries;
-        batch_retransmit_bytes += r.retransmit_bytes;
-        stats.lost_messages += r.lost;
-        batch_retry_seconds += r.retry_seconds;
-        if (fault_metrics_.enabled) {
-          if (r.injected_drops > 0) {
-            fault_metrics_.injected_drop[w].Add(
-                static_cast<double>(r.injected_drops));
-          }
-          if (r.injected_corruptions > 0) {
-            fault_metrics_.injected_corrupt[w].Add(
-                static_cast<double>(r.injected_corruptions));
-          }
-          if (r.straggled) fault_metrics_.injected_straggle[w].Increment();
-          if (r.crashed) fault_metrics_.injected_crash[w].Increment();
-          if (r.retries > 0) {
-            fault_metrics_.retries[w].Add(static_cast<double>(r.retries));
-            fault_metrics_.retransmit_bytes[w].Add(
-                static_cast<double>(r.retransmit_bytes));
-          }
-          if (r.lost > 0) {
-            fault_metrics_.lost_messages.Add(static_cast<double>(r.lost));
-          }
+      stats.injected_faults += r.injected_drops + r.injected_corruptions +
+                               (r.straggled ? 1 : 0) + (r.crashed ? 1 : 0);
+      stats.retries += r.retries;
+      stats.retransmit_bytes += r.retransmit_bytes;
+      batch_retries += r.retries;
+      batch_retransmit_bytes += r.retransmit_bytes;
+      stats.lost_messages += r.lost;
+      batch_retry_seconds += r.retry_seconds;
+      if (fault_metrics_.enabled) {
+        if (r.injected_drops > 0) {
+          fault_metrics_.injected_drop[w].Add(
+              static_cast<double>(r.injected_drops));
+        }
+        if (r.injected_corruptions > 0) {
+          fault_metrics_.injected_corrupt[w].Add(
+              static_cast<double>(r.injected_corruptions));
+        }
+        if (r.straggled) fault_metrics_.injected_straggle[w].Increment();
+        if (r.crashed) fault_metrics_.injected_crash[w].Increment();
+        if (r.retries > 0) {
+          fault_metrics_.retries[w].Add(static_cast<double>(r.retries));
+          fault_metrics_.retransmit_bytes[w].Add(
+              static_cast<double>(r.retransmit_bytes));
+        }
+        if (r.lost > 0) {
+          fault_metrics_.lost_messages.Add(static_cast<double>(r.lost));
         }
       }
       if (metrics_.enabled) {
@@ -702,23 +635,18 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
                                        cluster_.compute_scale);
         metrics_.worker_encode[w].Add(r.encode_seconds / active_workers *
                                       cluster_.codec_scale);
-        if (sketch_metrics_.enabled) {
-          // Per-batch latency distributions, recorded from this driver
-          // thread only (single writer => snapshots identical across
-          // --threads). Push is the worker's total modeled link time.
-          sketch_metrics_.worker_compute[w].Record(
-              r.compute_seconds / active_workers * cluster_.compute_scale);
-          sketch_metrics_.worker_encode[w].Record(
-              r.encode_seconds / active_workers * cluster_.codec_scale);
-          double push_seconds = 0.0;
-          for (int s = 0; s < servers; ++s) {
-            if (r.shard_bytes[s] == 0) continue;
-            push_seconds +=
-                faults ? r.shard_link_seconds[s]
-                       : cluster_.network.TransferSeconds(r.shard_bytes[s]);
-          }
-          sketch_metrics_.worker_push[w].Record(push_seconds);
+        // Per-batch latency distributions, recorded from this driver
+        // thread only (single writer => snapshots identical across
+        // --threads). Push is the worker's total modeled link time.
+        sketch_metrics_.worker_compute[w].Record(
+            r.compute_seconds / active_workers * cluster_.compute_scale);
+        sketch_metrics_.worker_encode[w].Record(
+            r.encode_seconds / active_workers * cluster_.codec_scale);
+        double push_seconds = 0.0;
+        for (int s = 0; s < servers; ++s) {
+          if (r.shard_bytes[s] > 0) push_seconds += r.shard_link_seconds[s];
         }
+        sketch_metrics_.worker_push[w].Record(push_seconds);
         metrics_.worker_recovery_err[w].Add(r.recovery_error_l1);
         metrics_.worker_recovery_ref[w].Add(r.recovery_ref_l1);
         for (int s = 0; s < servers; ++s) {
@@ -733,44 +661,43 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
         }
       }
     }
-    if (faults) {
-      // Server-shard stalls: a stalled server delays the gather in flight
-      // on its link (no effect on a link with no traffic this batch).
-      for (int s = 0; s < servers; ++s) {
-        if (shard_gather_seconds[s] > 0.0 &&
-            injector_.ServerStalled(gbatch, s)) {
-          shard_gather_seconds[s] += cluster_.faults.stall_seconds;
-          ++stats.injected_faults;
-          if (fault_metrics_.enabled) {
-            fault_metrics_.injected_stall[s].Increment();
-          }
+    // Server-shard stalls: a stalled server delays the gather in flight
+    // on its link (no effect on a link with no traffic this batch).
+    for (int s = 0; s < servers; ++s) {
+      if (shard_gather_seconds[s] > 0.0 && injector_.ServerStalled(gbatch, s)) {
+        shard_gather_seconds[s] += cluster_.faults.stall_seconds;
+        ++stats.injected_faults;
+        if (fault_metrics_.enabled) {
+          fault_metrics_.injected_stall[s].Increment();
         }
       }
-      // Recovery decision: enough whole gradients survived to apply the
-      // batch? Below min_quorum the epoch fails with a typed status; a
-      // partial-but-quorate batch is applied degraded (the aggregate is
-      // rescaled to the mean of the survivors below).
-      if (contributing < cluster_.faults.min_quorum) {
-        return common::Status::Unavailable(
-            "quorum failure at batch " + std::to_string(gbatch) + ": " +
-            std::to_string(contributing) + " of " +
-            std::to_string(active_workers) + " workers delivered (min_quorum=" +
-            std::to_string(cluster_.faults.min_quorum) + ")");
-      }
-      if (contributing < active_workers) ++stats.degraded_batches;
-      if (fault_metrics_.enabled) {
-        fault_metrics_.quorum.Set(static_cast<double>(contributing));
-      }
-      if (obs::TracingEnabled() && batch_retry_seconds > 0.0) {
-        // Modeled recovery time (retransmits + backoff), same convention
-        // as the "gather" span below. The batch span is still open on
-        // this thread, so the analyzer can charge retry amplification to
-        // its batch.
-        obs::EmitSpan("network", "retry", obs::NowNs(),
-                      static_cast<uint64_t>(batch_retry_seconds * 1e9),
-                      {{"attempt", static_cast<double>(batch_retries)},
-                       {"bytes", static_cast<double>(batch_retransmit_bytes)}});
-      }
+    }
+    // Recovery decision: enough whole gradients survived to apply the
+    // batch? Below quorum the epoch fails with a typed status; a
+    // partial-but-quorate batch is applied degraded (the aggregate is
+    // rescaled to the mean of the survivors below). Quorum counts only the
+    // workers this batch sent work to: a short batch leaves some idle.
+    const int quorum = std::min(cluster_.faults.min_quorum, active_workers);
+    if (contributing < quorum) {
+      return common::Status::Unavailable(
+          "quorum failure at batch " + std::to_string(gbatch) + ": " +
+          std::to_string(contributing) + " of " +
+          std::to_string(active_workers) + " workers delivered (min_quorum=" +
+          std::to_string(cluster_.faults.min_quorum) + ")");
+    }
+    if (contributing < active_workers) ++stats.degraded_batches;
+    if (fault_metrics_.enabled) {
+      fault_metrics_.quorum.Set(static_cast<double>(contributing));
+    }
+    if (obs::TracingEnabled() && batch_retry_seconds > 0.0) {
+      // Modeled recovery time (retransmits + backoff), same convention
+      // as the "gather" span below. The batch span is still open on
+      // this thread, so the analyzer can charge retry amplification to
+      // its batch.
+      obs::EmitSpan("network", "retry", obs::NowNs(),
+                    static_cast<uint64_t>(batch_retry_seconds * 1e9),
+                    {{"attempt", static_cast<double>(batch_retries)},
+                     {"bytes", static_cast<double>(batch_retransmit_bytes)}});
     }
 
     // Gather happens in parallel across server links: the slowest shard
@@ -851,14 +778,8 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
     uint64_t batch_bytes_down = 0;
     {
       obs::TraceSpan broadcast_span("trainer", "broadcast");
-      std::vector<common::SparseGradient> update_shards(servers);
-      if (servers == 1) {
-        update_shards[0] = std::move(mean_grad);
-      } else {
-        for (const auto& pair : mean_grad) {
-          update_shards[shard_of(pair.key)].push_back(pair);
-        }
-      }
+      const std::vector<common::SparseGradient> update_shards =
+          SplitByShard(std::move(mean_grad));
       for (int s = 0; s < servers; ++s) {
         if (update_shards[s].empty()) continue;
         watch.Restart();
@@ -945,32 +866,9 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
   // window into the ring. Payload sizes are counted in telemetry/*
   // only — never charged to the NetworkModel — so enabling metrics
   // cannot perturb the modeled timings or the training output.
-  if (sketch_metrics_.enabled) {
-    auto& sketches = obs::SketchHistogramRegistry::Global();
-    const struct {
-      const std::vector<obs::SketchHistogram>* workers;
-      const obs::SketchHistogram* cluster;
-    } lanes[] = {
-        {&sketch_metrics_.worker_compute, &sketch_metrics_.cluster_compute},
-        {&sketch_metrics_.worker_encode, &sketch_metrics_.cluster_encode},
-        {&sketch_metrics_.worker_push, &sketch_metrics_.cluster_push},
-    };
-    for (const auto& lane : lanes) {
-      for (const obs::SketchHistogram& worker_sketch : *lane.workers) {
-        const std::vector<uint8_t> payload =
-            sketches.SerializeTail(worker_sketch);
-        if (payload.empty()) continue;
-        sketch_metrics_.merges.Increment();
-        sketch_metrics_.merge_bytes.Add(static_cast<double>(payload.size()));
-        const common::Status merged = sketches.MergeSerialized(
-            *lane.cluster, payload.data(), payload.size());
-        if (!merged.ok()) {
-          SKETCHML_LOG(Warning)
-              << "telemetry sketch merge failed: " << merged.ToString();
-        }
-      }
-    }
-    sketches.AdvanceWindows();
+  if (metrics_.enabled) {
+    MergeTelemetryTails(0, directory_.universe(), /*drain=*/false);
+    obs::SketchHistogramRegistry::Global().AdvanceWindows();
   }
 
   if (membership_metrics_.churn) {
@@ -1057,7 +955,7 @@ void DistributedTrainer::ApplyMembershipEvent(const MembershipEvent& event,
       // (error-feedback residual + stream position) banked by an earlier
       // leaver, so accumulated correction signal survives churn instead
       // of resetting to zero.
-      if (!residual_escrow_.empty() && !worker_codecs_.empty()) {
+      if (!residual_escrow_.empty()) {
         const std::vector<uint8_t> blob = std::move(residual_escrow_.front());
         residual_escrow_.pop_front();
         common::ByteReader reader(blob);
@@ -1091,20 +989,17 @@ void DistributedTrainer::ApplyMembershipEvent(const MembershipEvent& event,
       // Graceful handoff, step 1: bank the leaver's codec-lane state
       // (residual + RNG position) in the escrow for a future joiner.
       // The blob crosses the wire to the driver, so it is charged.
-      if (!worker_codecs_.empty()) {
-        common::ByteWriter writer;
-        worker_codecs_[event.worker]->SaveState(&writer);
-        std::vector<uint8_t> blob = writer.TakeBuffer();
-        if (!blob.empty()) {
-          stats->handoff_bytes += blob.size();
-          stats->network_seconds +=
-              cluster_.network.TransferSeconds(blob.size());
-          if (membership_metrics_.churn) {
-            membership_metrics_.handoff_bytes.Add(
-                static_cast<double>(blob.size()));
-          }
-          residual_escrow_.push_back(std::move(blob));
+      common::ByteWriter writer;
+      worker_codecs_[event.worker]->SaveState(&writer);
+      std::vector<uint8_t> blob = writer.TakeBuffer();
+      if (!blob.empty()) {
+        stats->handoff_bytes += blob.size();
+        stats->network_seconds += cluster_.network.TransferSeconds(blob.size());
+        if (membership_metrics_.churn) {
+          membership_metrics_.handoff_bytes.Add(
+              static_cast<double>(blob.size()));
         }
+        residual_escrow_.push_back(std::move(blob));
       }
       // Graceful handoff, step 2: drain the leaver's labeled telemetry
       // tail into the cluster-wide slots so its latency samples survive
@@ -1112,29 +1007,8 @@ void DistributedTrainer::ApplyMembershipEvent(const MembershipEvent& event,
       // whatever the window accumulated since the last boundary).
       // Telemetry bytes follow the sketch-metrics convention: counted
       // in telemetry/* only, never charged to the NetworkModel.
-      if (sketch_metrics_.enabled) {
-        auto& sketches = obs::SketchHistogramRegistry::Global();
-        const struct {
-          const std::vector<obs::SketchHistogram>* workers;
-          const obs::SketchHistogram* cluster;
-        } lanes[] = {
-            {&sketch_metrics_.worker_compute, &sketch_metrics_.cluster_compute},
-            {&sketch_metrics_.worker_encode, &sketch_metrics_.cluster_encode},
-            {&sketch_metrics_.worker_push, &sketch_metrics_.cluster_push},
-        };
-        for (const auto& lane : lanes) {
-          const std::vector<uint8_t> payload =
-              sketches.DrainTail((*lane.workers)[event.worker]);
-          if (payload.empty()) continue;
-          sketch_metrics_.merges.Increment();
-          sketch_metrics_.merge_bytes.Add(static_cast<double>(payload.size()));
-          const common::Status merged = sketches.MergeSerialized(
-              *lane.cluster, payload.data(), payload.size());
-          if (!merged.ok()) {
-            SKETCHML_LOG(Warning) << "leave-time telemetry merge failed: "
-                                  << merged.ToString();
-          }
-        }
+      if (metrics_.enabled) {
+        MergeTelemetryTails(event.worker, event.worker + 1, /*drain=*/true);
       }
       break;
     }
@@ -1221,6 +1095,66 @@ void DistributedTrainer::UpdateShardState(const common::SparseGradient& grad) {
     const int s = ring_.ShardOf(pair.key);
     shard_values_[s].Update(std::abs(pair.value));
     shard_keys_[s].Insert(pair.key, MagnitudeBucket(pair.value));
+  }
+}
+
+int DistributedTrainer::ShardOf(uint64_t key) const {
+  if (membership_active_) return ring_.ShardOf(key);
+  const uint64_t dim = std::max<uint64_t>(1, train_->dim());
+  return static_cast<int>(key * static_cast<uint64_t>(cluster_.num_servers) /
+                          dim);
+}
+
+std::vector<common::SparseGradient> DistributedTrainer::SplitByShard(
+    common::SparseGradient grad) const {
+  const int servers = cluster_.num_servers;
+  std::vector<common::SparseGradient> pieces(servers);
+  if (servers == 1) {
+    pieces[0] = std::move(grad);
+    return pieces;
+  }
+  const size_t hint = grad.size() / static_cast<size_t>(servers) + 1;
+  for (auto& piece : pieces) piece.reserve(hint);
+  for (const auto& pair : grad) {
+    const int dest = ShardOf(pair.key);
+    // A key >= dim would compute a shard past the last server and
+    // corrupt the neighbouring vector silently.
+    SKETCHML_DCHECK_GE(dest, 0);
+    SKETCHML_DCHECK_LT(dest, servers)
+        << "gradient key " << pair.key << " outside model dim "
+        << train_->dim();
+    pieces[dest].push_back(pair);
+  }
+  return pieces;
+}
+
+void DistributedTrainer::MergeTelemetryTails(int first_worker,
+                                             int end_worker, bool drain) {
+  auto& sketches = obs::SketchHistogramRegistry::Global();
+  const struct {
+    const std::vector<obs::SketchHistogram>* workers;
+    const obs::SketchHistogram* cluster;
+  } lanes[] = {
+      {&sketch_metrics_.worker_compute, &sketch_metrics_.cluster_compute},
+      {&sketch_metrics_.worker_encode, &sketch_metrics_.cluster_encode},
+      {&sketch_metrics_.worker_push, &sketch_metrics_.cluster_push},
+  };
+  for (const auto& lane : lanes) {
+    for (int w = first_worker; w < end_worker; ++w) {
+      const obs::SketchHistogram& worker_sketch = (*lane.workers)[w];
+      const std::vector<uint8_t> payload =
+          drain ? sketches.DrainTail(worker_sketch)
+                : sketches.SerializeTail(worker_sketch);
+      if (payload.empty()) continue;
+      sketch_metrics_.merges.Increment();
+      sketch_metrics_.merge_bytes.Add(static_cast<double>(payload.size()));
+      const common::Status merged = sketches.MergeSerialized(
+          *lane.cluster, payload.data(), payload.size());
+      if (!merged.ok()) {
+        SKETCHML_LOG(Warning)
+            << "telemetry sketch merge failed: " << merged.ToString();
+      }
+    }
   }
 }
 

@@ -182,15 +182,10 @@ class DistributedTrainer {
   double simulated_seconds() const { return simulated_seconds_; }
 
   /// Resolved execution threads (config value with 0 mapped to the core
-  /// count, and clamped to 1 when the codec cannot be forked per worker).
+  /// count).
   int num_threads() const { return num_threads_; }
 
  private:
-  /// Codec simulated worker `w` encodes/decodes with.
-  compress::GradientCodec* WorkerCodec(int w) {
-    return worker_codecs_.empty() ? codec_.get() : worker_codecs_[w].get();
-  }
-
   /// One epoch, no rollback handling (RunEpoch wraps this with the
   /// checkpoint-based retry loop).
   common::Result<EpochStats> RunEpochAttempt();
@@ -221,6 +216,24 @@ class DistributedTrainer {
   /// Feeds the batch's aggregated gradient into the owning shards'
   /// mergeable state (KLL over |value|, MinMaxSketch key->bucket cache).
   void UpdateShardState(const common::SparseGradient& grad);
+
+  /// Owning server shard of a gradient key: the consistent-hash ring
+  /// while membership is active (shards come and go, see
+  /// ReconfigureShards), the key-range partition otherwise (identity with
+  /// one server), so churn-off byte streams match the fixed-fleet trainer.
+  int ShardOf(uint64_t key) const;
+
+  /// Splits a key-sorted gradient into one key-sorted piece per server
+  /// shard (index = shard).
+  std::vector<common::SparseGradient> SplitByShard(
+      common::SparseGradient grad) const;
+
+  /// Merges the telemetry-sketch tails of workers [first_worker,
+  /// end_worker) into the cluster-wide slots, lane by lane (see
+  /// SketchTelemetry). `drain` consumes the tails (a leaving worker);
+  /// otherwise they stay in place for AdvanceWindows to retire at the
+  /// epoch boundary.
+  void MergeTelemetryTails(int first_worker, int end_worker, bool drain);
 
   /// Per-entity labeled counters, resolved once at construction when
   /// metrics are enabled. Values are published from the driver's
@@ -266,8 +279,8 @@ class DistributedTrainer {
   /// The push lane records *modeled* transfer seconds and carries
   /// "modeled" in its name: deterministic for a fixed seed, so the SLO
   /// gate can diff its quantiles across runs even under --ignore-times.
+  /// Live exactly when EntityMetrics is (`metrics_.enabled`).
   struct SketchTelemetry {
-    bool enabled = false;
     // trainer/compute_latency_seconds{worker=w} etc.
     std::vector<obs::SketchHistogram> worker_compute;
     std::vector<obs::SketchHistogram> worker_encode;
@@ -322,10 +335,8 @@ class DistributedTrainer {
   const ml::Dataset* test_;
   const ml::Loss* loss_;
   std::unique_ptr<compress::GradientCodec> codec_;  // Server/broadcast lane.
-  // One forked codec per simulated worker (its seed lane), so concurrent
-  // executors never share mutable codec state. Empty when the codec does
-  // not support forking; execution then falls back to one shared codec on
-  // a single thread.
+  // One forked codec per worker id (its seed lane), so concurrent
+  // executors never share mutable codec state.
   std::vector<std::unique_ptr<compress::GradientCodec>> worker_codecs_;
   std::unique_ptr<common::ThreadPool> pool_;  // Null when num_threads_ == 1.
   int num_threads_ = 1;
@@ -343,7 +354,7 @@ class DistributedTrainer {
   /// this instead of training (the constructor cannot return a Status).
   common::Status init_status_;
   FaultInjector injector_;
-  bool faults_active_ = false;
+  bool faults_active_ = false;  // CRC-frame gather messages; fault metrics.
   bool membership_active_ = false;
   bool checkpoints_enabled_ = false;
   /// Membership state machine; initialized for every run (with an

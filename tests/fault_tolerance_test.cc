@@ -203,7 +203,7 @@ TEST(FaultInjectorTest, CrashKeepsWorkerDownForWindow) {
 
 TEST(FaultToleranceTest, InactivePlanVariantsAreBitIdentical) {
   // Changing inactive-plan knobs (seed, retry budget) must not perturb
-  // training at all: the fault-free path never consults them.
+  // training at all: an inactive plan's draws never fire.
   Fixture f;
   ClusterConfig plain;
   plain.num_workers = 4;
@@ -324,6 +324,29 @@ TEST(FaultToleranceTest, QuorumFailureReturnsUnavailable) {
   auto result = trainer.RunEpoch();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), common::StatusCode::kUnavailable);
+}
+
+TEST(FaultToleranceTest, QuorumCountsOnlyWorkersTheBatchSentWorkTo) {
+  // A 6-sample batch over 4 workers gives each worker a ceil-sized slice
+  // of 2 samples, so only 3 workers get work. All 3 deliver, so the batch
+  // meets quorum even though min_quorum names all 4 workers.
+  Fixture f;
+  for (const double straggle_prob : {0.0, 0.01}) {
+    SCOPED_TRACE(straggle_prob);
+    ClusterConfig cluster;
+    cluster.num_workers = 4;
+    cluster.faults.straggle_prob = straggle_prob;  // Messages untouched.
+    cluster.faults.min_quorum = 4;
+    TrainerConfig config;
+    config.batch_ratio = 6.5 / static_cast<double>(f.train->size());
+    config.evaluate_test_loss = false;
+    DistributedTrainer trainer(f.train.get(), nullptr, f.loss.get(),
+                               f.Codec("adam-double"), cluster, config);
+    const auto result = trainer.RunEpoch();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->messages, 3u * result->num_batches);
+    EXPECT_EQ(result->degraded_batches, 0u);
+  }
 }
 
 TEST(FaultToleranceTest, CrashedWorkersDegradeButTrainingContinues) {

@@ -327,6 +327,12 @@ TEST(RunReportTest, EpochMeanAveragesOnlyWorkersActiveThatEpoch) {
   // Epoch 2: deltas 1.0, 1.0, 0.5 over three active workers.
   EXPECT_DOUBLE_EQ(report.epochs[1].mean_worker_seconds, 2.5 / 3.0);
   EXPECT_DOUBLE_EQ(report.epochs[1].straggler_seconds, 1.0);
+
+  // The series carries no sketch summaries, so the straggler columns fall
+  // back to the mean-based ones.
+  const std::string rendered = RenderRunReport(report);
+  EXPECT_EQ(rendered.find("p99-strag"), std::string::npos);
+  EXPECT_NE(rendered.find("straggler  imbalance"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -606,17 +612,12 @@ TEST(RunReportTest, P99StragglerColumnsFromWorkerSketches) {
   EXPECT_NEAR(row.P99Imbalance(), 0.05 / 0.03, 1e-9);
   ASSERT_EQ(report.sketches.size(), 2u);  // Final sample's sketches.
 
-  // Default rendering uses the p99 columns; --straggler-mean restores the
-  // legacy mean-based ones.
+  // With sketch summaries the rendering uses the p99 columns.
   const std::string p99_render = RenderRunReport(report);
   EXPECT_NE(p99_render.find("p99-strag"), std::string::npos);
+  EXPECT_EQ(p99_render.find("straggler  imbalance"), std::string::npos);
   EXPECT_NE(p99_render.find("w1"), std::string::npos);
   EXPECT_NE(p99_render.find("latency sketches"), std::string::npos);
-  RenderOptions legacy;
-  legacy.straggler_mean = true;
-  const std::string mean_render = RenderRunReport(report, legacy);
-  EXPECT_EQ(mean_render.find("p99-strag"), std::string::npos);
-  EXPECT_NE(mean_render.find("straggler"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -636,11 +637,12 @@ TEST(TraceSummaryTest, SummarizesChromeTraceWithDroppedFooter) {
   obs::TraceLog::Global().Reset();
   obs::SetTracingEnabled(was_tracing);
 
-  auto summary = SummarizeTrace(out.str());
-  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_DOUBLE_EQ(summary->dropped_events, 0.0);
+  auto trace = ParseChromeTrace(out.str());
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  const TraceSummary summary = SummarizeTrace(*trace);
+  EXPECT_DOUBLE_EQ(summary.dropped_events, 0.0);
   const TraceSummary::Row* encode_row = nullptr;
-  for (const auto& row : summary->rows) {
+  for (const auto& row : summary.rows) {
     if (row.name == "encode/sketchml") encode_row = &row;
   }
   ASSERT_NE(encode_row, nullptr);
@@ -648,13 +650,13 @@ TEST(TraceSummaryTest, SummarizesChromeTraceWithDroppedFooter) {
   EXPECT_EQ(encode_row->count, 2u);
   EXPECT_GT(encode_row->total_us, 0.0);
   EXPECT_GE(encode_row->max_us, encode_row->total_us / 2.0);
-  EXPECT_NE(RenderTraceSummary(*summary).find("encode/sketchml"),
+  EXPECT_NE(RenderTraceSummary(summary).find("encode/sketchml"),
             std::string::npos);
 }
 
 TEST(TraceSummaryTest, RejectsNonTraceJson) {
-  EXPECT_FALSE(SummarizeTrace("{}").ok());
-  EXPECT_FALSE(SummarizeTrace("not json").ok());
+  EXPECT_FALSE(ParseChromeTrace("{}").ok());
+  EXPECT_FALSE(ParseChromeTrace("not json").ok());
 }
 
 }  // namespace

@@ -110,6 +110,61 @@ TEST(TrainerTest, DecodedKeyOutsideModelFailsBatchAndLeavesAggregateClean) {
   EXPECT_EQ(trainer.optimizer().weights(), fresh.optimizer().weights());
 }
 
+// Sends like adam-double, but lane kBadLane's decoder rejects every
+// message: a codec bug on bytes that arrived intact.
+class UndecodableLaneCodec : public compress::GradientCodec {
+ public:
+  static constexpr int64_t kBadLane = 2;
+
+  explicit UndecodableLaneCodec(int64_t lane = -1) : lane_(lane) {}
+
+  std::string Name() const override { return "undecodable-lane"; }
+  bool IsLossless() const override { return true; }
+  std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {
+    return std::make_unique<UndecodableLaneCodec>(static_cast<int64_t>(lane));
+  }
+
+ protected:
+  common::Status EncodeImpl(const common::SparseGradient& grad,
+                            compress::EncodedGradient* out) override {
+    return raw_.Encode(grad, out);
+  }
+  common::Status DecodeImpl(const compress::EncodedGradient& in,
+                            common::SparseGradient* out) override {
+    if (lane_ == kBadLane) {
+      return common::Status::CorruptedData("lane 2 cannot decode");
+    }
+    return raw_.Decode(in, out);
+  }
+
+ private:
+  compress::RawCodec raw_;
+  int64_t lane_;
+};
+
+TEST(TrainerTest, UndecodablePayloadFailsBatchWithOrWithoutFaultPlan) {
+  // Resending bytes that arrived intact cannot change how they decode, so
+  // the batch fails with the codec's status on both paths. An active plan
+  // that fires nothing on messages must not retry it or drop the worker.
+  Fixture f;
+  for (const double straggle_prob : {0.0, 0.01}) {
+    SCOPED_TRACE(straggle_prob);
+    ClusterConfig cluster;
+    cluster.num_workers = 4;
+    cluster.faults.straggle_prob = straggle_prob;
+    TrainerConfig config;
+    config.evaluate_test_loss = false;
+    DistributedTrainer trainer(f.train.get(), nullptr, f.loss.get(),
+                               std::make_unique<UndecodableLaneCodec>(),
+                               cluster, config);
+    const auto result = trainer.RunEpoch();
+    ASSERT_FALSE(result.ok()) << "degraded batches: "
+                              << result->degraded_batches;
+    EXPECT_EQ(result.status().code(), common::StatusCode::kCorruptedData);
+    EXPECT_EQ(result.status().message(), "lane 2 cannot decode");
+  }
+}
+
 TEST(NetworkModelTest, TransferSecondsIsLinearInBytes) {
   NetworkModel net{1.0, 0.0, 1.0};  // 1 Gbps, no latency.
   EXPECT_NEAR(net.TransferSeconds(125'000'000), 1.0, 1e-9);  // 1 Gbit.

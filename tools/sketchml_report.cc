@@ -42,8 +42,6 @@ constexpr char kUsage[] = R"(sketchml_report [flags] [series.jsonl]
                         from the A/B comparison; sketch quantiles over
                         *modeled* seconds (name contains "modeled") stay
                         compared — they are deterministic for a fixed seed
-  --straggler-mean      use the legacy mean-based per-epoch straggler
-                        columns instead of sketch p99 detection
   --allow-simd-mismatch allow an A/B diff between runs recorded at
                         different SIMD dispatch levels (refused by
                         default: kernel timings are not comparable)
@@ -73,7 +71,6 @@ int main(int argc, char** argv) {
   auto threshold = flags.GetDouble("threshold", 0.25);
   if (!threshold.ok()) return Fail(threshold.status());
   const bool ignore_times = flags.GetBool("ignore-times", false);
-  const bool straggler_mean = flags.GetBool("straggler-mean", false);
   const bool allow_simd_mismatch =
       flags.GetBool("allow-simd-mismatch", false);
   for (const auto& unused : flags.UnusedFlags()) {
@@ -97,19 +94,17 @@ int main(int argc, char** argv) {
   if (positional.size() == 1) {
     auto series = dist::LoadRunSeries(positional[0]);
     if (!series.ok()) return Fail(series.status());
-    dist::RenderOptions render_options;
-    render_options.straggler_mean = straggler_mean;
-    std::printf("%s", dist::RenderRunReport(dist::BuildRunReport(*series),
-                                            render_options)
-                          .c_str());
+    std::printf("%s",
+                dist::RenderRunReport(dist::BuildRunReport(*series)).c_str());
     did_anything = true;
   }
 
   if (!trace_path.empty()) {
-    auto summary = dist::LoadTraceSummary(trace_path);
-    if (!summary.ok()) return Fail(summary.status());
+    auto trace = dist::LoadChromeTrace(trace_path);
+    if (!trace.ok()) return Fail(trace.status());
     if (did_anything) std::printf("\n");
-    std::printf("%s", dist::RenderTraceSummary(*summary).c_str());
+    std::printf("%s",
+                dist::RenderTraceSummary(dist::SummarizeTrace(*trace)).c_str());
     did_anything = true;
   }
 

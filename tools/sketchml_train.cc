@@ -60,7 +60,8 @@ constexpr char kUsage[] = R"(sketchml_train [flags]
   --fault-stall-seconds=S    modeled seconds per stall (default 0.05)
   --fault-retries=N     retransmit budget per message (default 3)
   --fault-backoff=S     base retry backoff, doubles per attempt (def 1e-3)
-  --min-quorum=K        min surviving workers per batch; fewer aborts the
+  --min-quorum=K        min surviving workers per batch, capped at the
+                        workers the batch sends work to; fewer aborts the
                         run with "unavailable" (default 1)
   --membership-seed=N   membership-decision seed (default 1); a fixed seed
                         replays the identical churn schedule
