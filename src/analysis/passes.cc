@@ -734,12 +734,40 @@ std::vector<Finding> RunReplayPass(const ProjectModel& model,
 }
 
 // ---------------------------------------------------------------------------
+// The pass list.
+
+const std::vector<Pass>& Passes() {
+  static const std::vector<Pass> kPasses = [] {
+    std::vector<Pass> passes = {
+        {"layering",
+         [](const ProjectModel& model, const AnalyzeOptions&) {
+           return RunLayeringPass(model);
+         }},
+        {"wire",
+         [](const ProjectModel& model, const AnalyzeOptions&) {
+           return RunWirePass(model);
+         }},
+        {"names", RunNamesPass},
+        {"replay", RunReplayPass},
+    };
+    passes.insert(passes.end(), TokenRules().begin(), TokenRules().end());
+    return passes;
+  }();
+  return kPasses;
+}
+
+const Pass* FindPass(std::string_view id) {
+  for (const Pass& pass : Passes()) {
+    if (pass.id == id) return &pass;
+  }
+  return nullptr;
+}
+
+// ---------------------------------------------------------------------------
 // Baseline handling.
 
 bool ParseBaseline(const std::string& text, Baseline* baseline,
                    std::string* error) {
-  static const std::set<std::string> kPasses = {"layering", "wire", "names",
-                                                "replay"};
   std::istringstream in(text);
   std::string line;
   size_t li = 0;
@@ -750,9 +778,13 @@ bool ParseBaseline(const std::string& text, Baseline* baseline,
     std::istringstream fields(line);
     std::string pass, key;
     if (!(fields >> pass)) continue;  // Blank.
-    if (kPasses.count(pass) == 0) {
-      *error = "baseline line " + std::to_string(li) + ": unknown pass '" +
-               pass + "'";
+    const Pass* known = FindPass(pass);
+    if (known == nullptr || known->run_project == nullptr) {
+      *error = "baseline line " + std::to_string(li) + ": " +
+               (known == nullptr ? "unknown pass '" + pass + "'"
+                                 : "token rule '" + pass +
+                                       "' takes no baseline entries; use "
+                                       "a justified NOLINT");
       return false;
     }
     if (!(fields >> key)) {

@@ -425,9 +425,9 @@ void AddFileToModel(StrippedSource src, ProjectModel* model) {
   }
 }
 
-bool LoadProjectTree(const std::string& root,
-                     const std::vector<std::string>& subdirs,
-                     ProjectModel* model, std::string* error) {
+bool LoadSources(const std::string& root,
+                 const std::vector<std::string>& subdirs,
+                 std::vector<StrippedSource>* sources, std::string* error) {
   namespace fs = std::filesystem;
   std::vector<fs::path> paths;
   for (const std::string& sub : subdirs) {
@@ -442,9 +442,8 @@ bool LoadProjectTree(const std::string& root,
       // Fixture trees are analyzed with the fixture directory itself as
       // the root, so only skip them when they are nested *below* the
       // scanned subdir — not when the root already points inside one.
-      const std::string below = fs::relative(p, dir, ec).generic_string();
-      if (below.find("lint_fixtures") != std::string::npos ||
-          below.find("analysis_fixtures") != std::string::npos) {
+      if (p.lexically_relative(dir).generic_string().find(
+              "analysis_fixtures") != std::string::npos) {
         continue;
       }
       const std::string ext = p.extension().string();
@@ -460,9 +459,8 @@ bool LoadProjectTree(const std::string& root,
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string generic = p.generic_string();
-    AddFileToModel(StripToCode(generic, RepoRelative(generic), buf.str()),
-                   model);
+    sources->push_back(StripToCode(
+        p.lexically_relative(root).generic_string(), buf.str()));
   }
   return true;
 }

@@ -3,9 +3,9 @@
 
 // Whole-project source model for cross-translation-unit analysis.
 //
-// `tools/sketchml_lint` reasons about one file at a time; the semantic
-// passes in `tools/sketchml_analyze` need properties no single TU can
-// show: the include graph (layering, cycles), matched serialize/
+// The token rules of `tools/sketchml_analyze` reason about one file at a
+// time; its project passes need properties no single TU can show: the
+// include graph (layering, cycles), matched serialize/
 // deserialize method pairs (wire-format symmetry), registration vs.
 // consumption of metric/trace name literals, and call-graph reachability
 // (replay purity). This model is the shared substrate: every scanned
@@ -74,15 +74,16 @@ struct ProjectModel {
 /// its includes, and indexes its function definitions.
 void AddFileToModel(StrippedSource src, ProjectModel* model);
 
-/// Loads every .h/.cc under `root`/<subdir> for each subdir (links
-/// followed; paths containing "lint_fixtures" or "analysis_fixtures"
-/// *below* the scanned subdir are skipped, so a fixture tree can itself
-/// be the root) and builds the model. Returns false and sets `error`
-/// when a subdir exists but a file cannot be read; nonexistent subdirs
-/// are silently skipped so fixture trees can be partial.
-bool LoadProjectTree(const std::string& root,
-                     const std::vector<std::string>& subdirs,
-                     ProjectModel* model, std::string* error);
+/// Reads and strips every .h/.cc under `root`/<subdir> for each subdir
+/// (links followed), sorted by path, with `rel` the path relative to
+/// `root`. Paths containing "analysis_fixtures" *below* the scanned
+/// subdir are skipped, so a fixture tree can itself be the root while a
+/// tree-wide scan never sees the golden violations. Returns false and
+/// sets `error` when a file cannot be read; nonexistent subdirs are
+/// silently skipped so fixture trees can be partial.
+bool LoadSources(const std::string& root,
+                 const std::vector<std::string>& subdirs,
+                 std::vector<StrippedSource>* sources, std::string* error);
 
 }  // namespace sketchml::analysis
 

@@ -4,10 +4,8 @@
 
 namespace sketchml::analysis {
 
-StrippedSource StripToCode(const std::string& path, const std::string& rel,
-                           const std::string& text) {
+StrippedSource StripToCode(const std::string& rel, const std::string& text) {
   StrippedSource out;
-  out.path = path;
   out.rel = rel;
 
   enum class State { kCode, kLineComment, kBlockComment, kString, kChar,

@@ -1,20 +1,18 @@
 #ifndef SKETCHML_ANALYSIS_STRIPPED_SOURCE_H_
 #define SKETCHML_ANALYSIS_STRIPPED_SOURCE_H_
 
-// Shared source-model tokenizer for the repo's static-analysis tools.
+// Source-file tokenizer for `tools/sketchml_analyze`.
 //
-// Both `tools/sketchml_lint` (per-file rules) and `tools/sketchml_analyze`
-// (whole-project semantic passes) analyze the same stripped view of a
-// source file: comments and string/char literal *contents* blanked out
-// (replaced by spaces, preserving line structure and column positions) so
-// token matching never fires inside them, plus the raw comment text per
-// line for NOLINT handling and the untouched raw lines for the few checks
-// that genuinely need literal text (quoted #include paths, trace-category
-// literals). Keeping one implementation here is what stops the two tools
-// from drifting: a tokenizer fix lands in both at once.
+// Every analyzer pass — the per-file token rules and the whole-project
+// passes alike — reads the same stripped view of a source file: comments
+// and string/char literal *contents* blanked out (replaced by spaces,
+// preserving line structure and column positions) so token matching never
+// fires inside them, plus the raw comment text per line for NOLINT
+// handling and the untouched raw lines for the few checks that genuinely
+// need literal text (quoted #include paths, trace-category literals).
 //
 // This library is deliberately dependency-free (standard library only) so
-// CI can compile the analyzers with a bare `g++` invocation, outside the
+// CI can compile the analyzer with a bare `g++` invocation, outside the
 // CMake build, and so it sits at the very bottom of the layer DAG the
 // layering pass itself enforces.
 
@@ -27,8 +25,8 @@ namespace sketchml::analysis {
 /// One file split into lines, with comments and string/char literal
 /// contents blanked out.
 struct StrippedSource {
-  std::string path;  // As reported in diagnostics.
-  std::string rel;   // Repo-relative with forward slashes, for scoping.
+  std::string rel;  // Repo-relative with forward slashes: scoping and
+                    // diagnostics.
   std::vector<std::string> code;      // Line with comments/strings blanked.
   std::vector<std::string> comments;  // Comment text on each line ("" if none).
   std::vector<std::string> raw;       // Untouched source lines (for matching
@@ -38,8 +36,7 @@ struct StrippedSource {
 /// Blanks comments and literal contents, preserving line structure and
 /// column positions. Tracks enough state for //, /* */, "...", '...', and
 /// raw strings R"delim(...)delim".
-StrippedSource StripToCode(const std::string& path, const std::string& rel,
-                           const std::string& text);
+StrippedSource StripToCode(const std::string& rel, const std::string& text);
 
 /// True for characters that can appear inside an identifier.
 bool IsIdentChar(char c);
@@ -60,7 +57,7 @@ bool ContainsCall(std::string_view line, std::string_view needle);
 /// Suppression lookup: `rule` is suppressed on `line_idx` if that line's
 /// comment (or the previous line's via NOLINTNEXTLINE) names it — or
 /// names no rule at all (a bare NOLINT suppresses everything; the
-/// sketchml-nolint-justification audit in sketchml_lint flags those).
+/// sketchml-nolint-justification rule flags those).
 bool Suppressed(const StrippedSource& file, size_t line_idx,
                 const std::string& rule);
 

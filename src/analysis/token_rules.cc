@@ -1,156 +1,33 @@
-// sketchml_lint — the repo's own correctness linter.
-//
-// A standalone analyzer (no libclang dependency) over the shared
-// comment/literal-stripping tokenizer in src/analysis/stripped_source.h
-// (the same model the whole-project semantic analyzer sketchml_analyze
-// builds on, so the two tools cannot drift). It enforces per-file,
-// per-line rules that generic tooling cannot know:
-//
-//   sketchml-discarded-status      no bare-statement or (void)-cast calls
-//                                  to known Status/Result-returning APIs
-//   sketchml-banned-random         no std::rand/srand/random_device/time()
-//                                  seeding outside common/random
-//   sketchml-wallclock             no raw clock reads outside the timing
-//                                  infrastructure (stopwatch/trace)
-//   sketchml-stdout                no std::cout / printf / puts in src/
-//                                  libraries (logging or snprintf only)
-//   sketchml-include-hygiene       a .cc includes its own header first; no
-//                                  <bits/...> internal headers anywhere
-//   sketchml-naked-new             no naked new/delete in src/ (containers
-//                                  and smart pointers own memory)
-//   sketchml-raw-simd              vector intrinsics only inside the
-//                                  src/common/simd* dispatch seam
-//   sketchml-trace-category        TraceSpan/EmitSpan categories are
-//                                  string literals from the allowlist
-//   sketchml-nolint-justification  every suppression marker names the
-//                                  rule(s) it silences and says why
-//
-// Escape hatch: `// NOLINT(sketchml-<rule>): <why>` on the offending line
-// or `// NOLINTNEXTLINE(sketchml-<rule>): <why>` on the line above. The
-// justification audit itself cannot be suppressed; the rule catalog
-// lives in docs/static_analysis.md.
-//
-// Usage:
-//   sketchml_lint [--rule=<id>] [--list-rules] [--quiet] <paths...>
-// Directories are scanned recursively for .h/.cc files (paths containing
-// "lint_fixtures" or "analysis_fixtures" are skipped unless named
-// explicitly, so the golden violation fixtures in tests/ never fail the
-// tree-wide gate).
-// Exit code: 0 clean, 1 violations found, 2 usage/IO error.
+// The token rules of sketchml_analyze: per-file, per-line checks over the
+// stripped view of every .h/.cc under src/ tests/ tools/ bench/. Each rule
+// is a pass whose id is the rule id, so `// NOLINT(<rule>): <why>` names
+// exactly what it silences. docs/static_analysis.md ("Lint rule
+// catalog") gives each rule's rationale.
 
-#include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
-#include <map>
-#include <set>
-#include <sstream>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "analysis/stripped_source.h"
+#include "analysis/passes.h"
 
+namespace sketchml::analysis {
 namespace {
-
-namespace fs = std::filesystem;
-
-struct Violation {
-  std::string file;
-  size_t line = 0;
-  std::string rule;
-  std::string message;
-};
-
-struct RuleInfo {
-  std::string id;
-  std::string rationale;
-};
-
-const std::vector<RuleInfo>& RuleCatalog() {
-  static const std::vector<RuleInfo> rules = {
-      {"sketchml-discarded-status",
-       "a dropped Status/Result silently swallows decode/validate failures; "
-       "handle it, propagate it, or justify the discard next to a NOLINT"},
-      {"sketchml-banned-random",
-       "codec/sketch/dist paths must draw randomness from common::Rng seed "
-       "lanes so runs replay bit-identically; std::rand/random_device/time "
-       "seeding breaks determinism"},
-      {"sketchml-wallclock",
-       "raw clock reads outside common/stopwatch and common/trace make "
-       "results depend on wall time; route timing through Stopwatch or the "
-       "obs layer"},
-      {"sketchml-stdout",
-       "library code must not write to stdout; use SKETCHML_LOG or return "
-       "data to the caller (tools/tests/bench may print)"},
-      {"sketchml-include-hygiene",
-       "a .cc includes its own header first (proves the header is "
-       "self-contained); <bits/...> headers are libstdc++ internals"},
-      {"sketchml-naked-new",
-       "hot paths use containers/smart pointers; naked new/delete risks "
-       "leaks on early Status returns (intentional leaked singletons get a "
-       "NOLINT with justification)"},
-      {"sketchml-raw-simd",
-       "raw vector intrinsics outside src/common/simd* bypass the runtime "
-       "dispatch seam: they crash older CPUs the scalar path supports and "
-       "dodge the scalar/SIMD differential tests; add a kernel to the seam "
-       "instead"},
-      {"sketchml-trace-category",
-       "span categories must be string literals from the allowlist in "
-       "docs/observability.md: TraceEvent stores the category by pointer "
-       "(a computed string dangles) and both --trace-categories and the "
-       "critical-path analyzer compare exact names, so a novel category "
-       "silently vanishes from every report"},
-      {"sketchml-nolint-justification",
-       "every suppression marker must name the rule(s) it silences and "
-       "carry a ': <why>' justification; a bare marker suppresses every "
-       "rule with no audit trail (this rule itself cannot be suppressed)"},
-  };
-  return rules;
-}
-
-bool IsRuleId(const std::string& id) {
-  const auto& rules = RuleCatalog();
-  return std::any_of(rules.begin(), rules.end(),
-                     [&](const RuleInfo& r) { return r.id == id; });
-}
-
-// ---------------------------------------------------------------------------
-// Source model: the shared tokenizer from src/analysis. StrippedSource
-// blanks comments and string/char literal *contents* (preserving line
-// structure and column positions) so rules never match inside them, and
-// keeps the raw comment text per line for NOLINT handling.
-// ---------------------------------------------------------------------------
-
-using SourceFile = sketchml::analysis::StrippedSource;
-using sketchml::analysis::ContainsCall;
-using sketchml::analysis::ContainsToken;
-using sketchml::analysis::ContainsTokenPrefix;
-using sketchml::analysis::IsIdentChar;
-using sketchml::analysis::StripToCode;
-using sketchml::analysis::Suppressed;
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
-// ---------------------------------------------------------------------------
-// Rules.
-// ---------------------------------------------------------------------------
-
-using RuleFn = void (*)(const SourceFile&, std::vector<Violation>*);
-
-void Report(const SourceFile& file, size_t line_idx, const std::string& rule,
-            std::string message, std::vector<Violation>* out) {
+void Report(const StrippedSource& file, size_t line_idx,
+            const std::string& rule, std::string message,
+            std::vector<Finding>* out) {
   if (Suppressed(file, line_idx, rule)) return;
-  out->push_back({file.path, line_idx + 1, rule, std::move(message)});
+  out->push_back({rule, "", file.rel, line_idx + 1, std::move(message)});
 }
 
-bool InSrc(const SourceFile& f) { return StartsWith(f.rel, "src/"); }
+bool InSrc(const StrippedSource& f) { return StartsWith(f.rel, "src/"); }
 
-bool PathIsOneOf(const SourceFile& f,
+bool PathIsOneOf(const StrippedSource& f,
                  std::initializer_list<std::string_view> stems) {
   for (std::string_view stem : stems) {
     if (f.rel.find(stem) != std::string::npos) return true;
@@ -159,7 +36,7 @@ bool PathIsOneOf(const SourceFile& f,
 }
 
 // sketchml-banned-random: nondeterminism sources outside common/random.
-void CheckBannedRandom(const SourceFile& file, std::vector<Violation>* out) {
+void CheckBannedRandom(const StrippedSource& file, std::vector<Finding>* out) {
   if (PathIsOneOf(file, {"common/random."})) return;
   for (size_t i = 0; i < file.code.size(); ++i) {
     const std::string& line = file.code[i];
@@ -183,7 +60,7 @@ void CheckBannedRandom(const SourceFile& file, std::vector<Violation>* out) {
 }
 
 // sketchml-wallclock: clock reads outside the timing infrastructure.
-void CheckWallclock(const SourceFile& file, std::vector<Violation>* out) {
+void CheckWallclock(const StrippedSource& file, std::vector<Finding>* out) {
   // Stopwatch and the trace ring are *the* sanctioned clock owners.
   if (PathIsOneOf(file, {"common/stopwatch.", "common/trace."})) return;
   static const char* kClocks[] = {
@@ -205,7 +82,7 @@ void CheckWallclock(const SourceFile& file, std::vector<Violation>* out) {
 }
 
 // sketchml-stdout: library code must not print to stdout.
-void CheckStdout(const SourceFile& file, std::vector<Violation>* out) {
+void CheckStdout(const StrippedSource& file, std::vector<Finding>* out) {
   if (!InSrc(file)) return;
   for (size_t i = 0; i < file.code.size(); ++i) {
     const std::string& line = file.code[i];
@@ -224,7 +101,8 @@ void CheckStdout(const SourceFile& file, std::vector<Violation>* out) {
 }
 
 // sketchml-include-hygiene: own header first, no <bits/...>.
-void CheckIncludeHygiene(const SourceFile& file, std::vector<Violation>* out) {
+void CheckIncludeHygiene(const StrippedSource& file,
+                         std::vector<Finding>* out) {
   std::string first_include;
   size_t first_include_line = 0;
   for (size_t i = 0; i < file.code.size(); ++i) {
@@ -244,7 +122,7 @@ void CheckIncludeHygiene(const SourceFile& file, std::vector<Violation>* out) {
       first_include_line = i;
     }
   }
-  // Own-header-first applies to library/tool .cc files with a sibling .h.
+  // Own-header-first applies to library .cc files with a sibling .h.
   if (file.rel.size() > 3 && StartsWith(file.rel, "src/") &&
       file.rel.substr(file.rel.size() - 3) == ".cc" && !first_include.empty()) {
     // src/<dir>/<stem>.cc includes "<dir>/<stem>.h" (project-relative).
@@ -271,7 +149,7 @@ void CheckIncludeHygiene(const SourceFile& file, std::vector<Violation>* out) {
 }
 
 // sketchml-naked-new: manual memory management in src/.
-void CheckNakedNew(const SourceFile& file, std::vector<Violation>* out) {
+void CheckNakedNew(const StrippedSource& file, std::vector<Finding>* out) {
   if (!InSrc(file)) return;
   for (size_t i = 0; i < file.code.size(); ++i) {
     const std::string& line = file.code[i];
@@ -304,7 +182,7 @@ void CheckNakedNew(const SourceFile& file, std::vector<Violation>* out) {
 
 // sketchml-raw-simd: vector intrinsics only inside the dispatch seam
 // (src/common/simd*), keeping scalar/SIMD parity testable in one place.
-void CheckRawSimd(const SourceFile& file, std::vector<Violation>* out) {
+void CheckRawSimd(const StrippedSource& file, std::vector<Finding>* out) {
   if (PathIsOneOf(file, {"common/simd"})) return;
   static const char* kIntrinHeaders[] = {
       "immintrin.h", "x86intrin.h", "xmmintrin.h", "emmintrin.h",
@@ -349,7 +227,8 @@ void CheckRawSimd(const SourceFile& file, std::vector<Violation>* out) {
 // calls, and optional<TraceSpan>::emplace through span-named receivers
 // (the trainer's conditional spans). common/trace.* declares the API and
 // is exempt.
-void CheckTraceCategory(const SourceFile& file, std::vector<Violation>* out) {
+void CheckTraceCategory(const StrippedSource& file,
+                        std::vector<Finding>* out) {
   if (PathIsOneOf(file, {"common/trace."})) return;
   static const char* kAllowed[] = {"trainer", "codec", "network", "test",
                                    "bench"};
@@ -464,7 +343,8 @@ void CheckTraceCategory(const SourceFile& file, std::vector<Violation>* out) {
 // Result; this rule closes the two remaining holes: `(void)` casts added
 // without justification, and calls through names whose declarations live
 // outside the build (scripts, generated code).
-void CheckDiscardedStatus(const SourceFile& file, std::vector<Violation>* out) {
+void CheckDiscardedStatus(const StrippedSource& file,
+                          std::vector<Finding>* out) {
   // Method/function names whose return is a Status/Result in this repo.
   static const char* kStatusCalls[] = {
       "Encode",      "Decode",          "EncodeImpl",    "DecodeImpl",
@@ -576,13 +456,16 @@ void CheckDiscardedStatus(const SourceFile& file, std::vector<Violation>* out) {
 // suppress-everything, so a bare marker is an unbounded, unexplained
 // escape — including accidental ones, where a prose comment merely
 // *starts* with the word NOLINTNEXTLINE and silently disables every rule
-// on the next line. Violations are appended directly rather than through
+// on the next line. Findings are appended directly rather than through
 // Report() so a suppression can never silence its own audit. Markers
 // mentioned mid-comment (docs, rule rationales) are prose, not
 // suppressions, and are not audited.
-void CheckNolintJustification(const SourceFile& file,
-                              std::vector<Violation>* out) {
+void CheckNolintJustification(const StrippedSource& file,
+                              std::vector<Finding>* out) {
   constexpr const char* kRule = "sketchml-nolint-justification";
+  const auto add = [&](size_t line_idx, std::string message) {
+    out->push_back({kRule, "", file.rel, line_idx + 1, std::move(message)});
+  };
   for (size_t i = 0; i < file.comments.size(); ++i) {
     const std::string& comment = file.comments[i];
     const size_t start = comment.find_first_not_of("/* \t");
@@ -599,19 +482,17 @@ void CheckNolintJustification(const SourceFile& file,
     const std::string marker(body.substr(0, marker_len));
     const std::string_view rest = body.substr(marker_len);
     if (rest.empty() || rest[0] != '(') {
-      out->push_back({file.path, i + 1, kRule,
-                      "bare " + marker +
-                          " suppresses every rule with no audit trail; use " +
-                          marker + "(<rule>): <why>"});
+      add(i, "bare " + marker +
+                 " suppresses every rule with no audit trail; use " +
+                 marker + "(<rule>): <why>");
       continue;
     }
     const size_t close = rest.find(')');
     if (close == std::string_view::npos ||
         rest.substr(1, close - 1).find_first_not_of(" \t") ==
             std::string_view::npos) {
-      out->push_back({file.path, i + 1, kRule,
-                      marker + " has an empty or unterminated rule list; "
-                              "name the rule(s) it silences"});
+      add(i, marker + " has an empty or unterminated rule list; name the "
+                      "rule(s) it silences");
       continue;
     }
     const std::string_view after = rest.substr(close + 1);
@@ -620,139 +501,27 @@ void CheckNolintJustification(const SourceFile& file,
         colon != std::string_view::npos && after[colon] == ':' &&
         after.find_first_not_of(" \t", colon + 1) != std::string_view::npos;
     if (!justified) {
-      out->push_back({file.path, i + 1, kRule,
-                      marker + "(" + std::string(rest.substr(1, close - 1)) +
-                          ") lacks a justification; append \": <why>\""});
+      add(i, marker + "(" + std::string(rest.substr(1, close - 1)) +
+                 ") lacks a justification; append \": <why>\"");
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Driver.
-// ---------------------------------------------------------------------------
-
-const std::map<std::string, RuleFn>& Rules() {
-  static const std::map<std::string, RuleFn> rules = {
-      {"sketchml-discarded-status", CheckDiscardedStatus},
-      {"sketchml-banned-random", CheckBannedRandom},
-      {"sketchml-wallclock", CheckWallclock},
-      {"sketchml-stdout", CheckStdout},
-      {"sketchml-include-hygiene", CheckIncludeHygiene},
-      {"sketchml-naked-new", CheckNakedNew},
-      {"sketchml-raw-simd", CheckRawSimd},
-      {"sketchml-trace-category", CheckTraceCategory},
-      {"sketchml-nolint-justification", CheckNolintJustification},
-  };
-  return rules;
-}
-
-bool IsSourceFile(const fs::path& p) {
-  const std::string ext = p.extension().string();
-  return ext == ".cc" || ext == ".h";
-}
-
-// Repo-relative path with forward slashes, for rule scoping.
-std::string RepoRelative(const fs::path& p) {
-  return sketchml::analysis::RepoRelative(p.generic_string());
-}
-
-int LintFile(const fs::path& path, const std::string& only_rule,
-             std::vector<Violation>* violations) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "sketchml_lint: cannot read " << path.string() << "\n";
-    return 2;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const SourceFile file =
-      StripToCode(path.string(), RepoRelative(path), buf.str());
-  for (const auto& [id, fn] : Rules()) {
-    if (!only_rule.empty() && id != only_rule) continue;
-    fn(file, violations);
-  }
-  return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::vector<fs::path> roots;
-  std::string only_rule;
-  bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--list-rules") {
-      for (const RuleInfo& r : RuleCatalog()) {
-        std::cout << r.id << "\n    " << r.rationale << "\n";
-      }
-      return 0;
-    }
-    if (arg.rfind("--rule=", 0) == 0) {
-      only_rule = arg.substr(7);
-      if (!IsRuleId(only_rule)) {
-        std::cerr << "sketchml_lint: unknown rule '" << only_rule
-                  << "' (--list-rules)\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg == "--quiet") {
-      quiet = true;
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      std::cerr << "sketchml_lint: unknown flag " << arg << "\n"
-                << "usage: sketchml_lint [--rule=<id>] [--list-rules] "
-                   "[--quiet] <files-or-dirs...>\n";
-      return 2;
-    }
-    roots.emplace_back(arg);
-  }
-  if (roots.empty()) {
-    std::cerr << "usage: sketchml_lint [--rule=<id>] [--list-rules] "
-                 "[--quiet] <files-or-dirs...>\n";
-    return 2;
-  }
-
-  std::vector<fs::path> files;
-  for (const fs::path& root : roots) {
-    std::error_code ec;
-    if (fs::is_directory(root, ec)) {
-      for (auto it = fs::recursive_directory_iterator(root, ec);
-           it != fs::recursive_directory_iterator(); ++it) {
-        if (!it->is_regular_file(ec) || !IsSourceFile(it->path())) continue;
-        // Golden violation fixtures only lint when named explicitly.
-        const std::string generic = it->path().generic_string();
-        if (generic.find("lint_fixtures") != std::string::npos ||
-            generic.find("analysis_fixtures") != std::string::npos) {
-          continue;
-        }
-        files.push_back(it->path());
-      }
-    } else if (fs::exists(root, ec)) {
-      files.push_back(root);
-    } else {
-      std::cerr << "sketchml_lint: no such path " << root.string() << "\n";
-      return 2;
-    }
-  }
-  std::sort(files.begin(), files.end());
-
-  std::vector<Violation> violations;
-  for (const fs::path& f : files) {
-    const int rc = LintFile(f, only_rule, &violations);
-    if (rc != 0) return rc;
-  }
-
-  if (!quiet) {
-    for (const Violation& v : violations) {
-      std::cout << v.file << ":" << v.line << ": [" << v.rule << "] "
-                << v.message << "\n";
-    }
-    std::cout << "sketchml_lint: " << files.size() << " files, "
-              << violations.size() << " violation"
-              << (violations.size() == 1 ? "" : "s") << "\n";
-  }
-  return violations.empty() ? 0 : 1;
+const std::vector<Pass>& TokenRules() {
+  static const std::vector<Pass> kRules = {
+      {"sketchml-discarded-status", nullptr, CheckDiscardedStatus},
+      {"sketchml-banned-random", nullptr, CheckBannedRandom},
+      {"sketchml-wallclock", nullptr, CheckWallclock},
+      {"sketchml-stdout", nullptr, CheckStdout},
+      {"sketchml-include-hygiene", nullptr, CheckIncludeHygiene},
+      {"sketchml-naked-new", nullptr, CheckNakedNew},
+      {"sketchml-raw-simd", nullptr, CheckRawSimd},
+      {"sketchml-trace-category", nullptr, CheckTraceCategory},
+      {"sketchml-nolint-justification", nullptr, CheckNolintJustification},
+  };
+  return kRules;
 }
+
+}  // namespace sketchml::analysis

@@ -1,7 +1,10 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <ostream>
 
 namespace sketchml::common {
 
@@ -137,8 +140,8 @@ class JsonParser {
           case 'b': c = '\b'; break;
           case 'f': c = '\f'; break;
           case 'u': {
-            // Our writers never emit \u, but accept it: decode the code
-            // point as UTF-8 (surrogate pairs collapse to '?').
+            // Decode the code point as UTF-8 (surrogate pairs collapse
+            // to '?'); our writers emit it only for control bytes.
             if (pos_ + 4 >= text_.size()) return Error("truncated \\u escape");
             unsigned code = 0;
             for (int i = 1; i <= 4; ++i) {
@@ -236,6 +239,46 @@ std::string JsonValue::StringOr(std::string_view key,
   return value != nullptr && value->is_string()
              ? value->string_
              : std::string(default_value);
+}
+
+void AppendJsonString(std::ostream& out, std::string_view s) {
+  out << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out << "\\\""; break;
+      case '\\': out << "\\\\"; break;
+      case '\b': out << "\\b"; break;
+      case '\t': out << "\\t"; break;
+      case '\n': out << "\\n"; break;
+      case '\f': out << "\\f"; break;
+      case '\r': out << "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out << buf;
+        } else {
+          out << c;
+        }
+    }
+  }
+  out << '"';
+}
+
+void AppendJsonNumber(std::ostream& out, double v) {
+  if (!std::isfinite(v)) {
+    out << "null";
+    return;
+  }
+  // Integers (the common case: counts, bytes) print without exponent.
+  if (v == std::floor(v) && std::abs(v) < 9e15) {
+    out << static_cast<long long>(v);
+  } else {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out << buf;
+  }
 }
 
 }  // namespace sketchml::common

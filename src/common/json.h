@@ -1,6 +1,7 @@
 #ifndef SKETCHML_COMMON_JSON_H_
 #define SKETCHML_COMMON_JSON_H_
 
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
@@ -59,6 +60,15 @@ class JsonValue {
 
   friend class JsonParser;
 };
+
+/// Writes `s` as a JSON string literal. Every byte below 0x20 is escaped
+/// (RFC 8259 §7): the `\b \t \n \f \r` short forms, `\u00XX` for the
+/// rest; other bytes pass through unchanged.
+void AppendJsonString(std::ostream& out, std::string_view s);
+
+/// Writes `v` as a JSON number: integral values below 9e15 without an
+/// exponent, others with %.17g, and non-finite values as `null`.
+void AppendJsonNumber(std::ostream& out, double v);
 
 }  // namespace sketchml::common
 

@@ -1,20 +1,23 @@
 #include "common/metrics_registry.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <cmath>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
 #include <ostream>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
 namespace sketchml::obs {
 namespace {
+
+using common::AppendJsonNumber;
+using common::AppendJsonString;
 
 // Fixed shard capacities: per-thread slots are allocated once, so the
 // hot path never resizes (and never takes a lock). Exhausting a table
@@ -25,21 +28,11 @@ constexpr int kMaxCounters = 4096;
 constexpr int kMaxGauges = 256;
 constexpr int kMaxHistograms = 512;
 
-int BucketIndex(double value) {
-  if (!(value >= 1.0)) return 0;  // Also catches NaN.
-  if (value >= 9.2e18) return kHistogramBuckets - 1;
-  const uint64_t v = static_cast<uint64_t>(value);
-  int width = 0;
-  for (uint64_t x = v; x != 0; x >>= 1) ++width;  // bit_width.
-  return std::min(width, kHistogramBuckets - 1);
-}
-
 struct HistogramShard {
   std::atomic<uint64_t> count{0};
   std::atomic<double> sum{0.0};
   std::atomic<double> min{std::numeric_limits<double>::infinity()};
   std::atomic<double> max{-std::numeric_limits<double>::infinity()};
-  std::array<std::atomic<uint32_t>, kHistogramBuckets> buckets{};
 };
 
 /// One thread's private slots. The owning thread is the only writer and
@@ -58,7 +51,6 @@ struct RetiredTotals {
     double sum = 0.0;
     double min = std::numeric_limits<double>::infinity();
     double max = -std::numeric_limits<double>::infinity();
-    std::array<uint64_t, kHistogramBuckets> buckets{};
   };
   std::array<Hist, kMaxHistograms> histograms{};
 };
@@ -99,9 +91,6 @@ void RetireShard(Shard* shard) {
     r.sum += h.sum.load(std::memory_order_relaxed);
     r.min = std::min(r.min, h.min.load(std::memory_order_relaxed));
     r.max = std::max(r.max, h.max.load(std::memory_order_relaxed));
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      r.buckets[b] += h.buckets[b].load(std::memory_order_relaxed);
-    }
   }
   impl.live_shards.erase(
       std::find(impl.live_shards.begin(), impl.live_shards.end(), shard));
@@ -152,34 +141,6 @@ int Register(std::map<std::string, int, std::less<>>* ids,
   names->emplace_back(name);
   ids->emplace(std::string(name), id);
   return id;
-}
-
-void AppendJsonString(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      default: out << c;
-    }
-  }
-  out << '"';
-}
-
-void AppendJsonNumber(std::ostream& out, double v) {
-  if (!std::isfinite(v)) {
-    out << "null";
-    return;
-  }
-  // Integers (the common case: counts, bytes) print without exponent.
-  if (v == std::floor(v) && std::abs(v) < 9e15) {
-    out << static_cast<long long>(v);
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out << buf;
-  }
 }
 
 }  // namespace
@@ -270,9 +231,6 @@ void Histogram::Record(double value) const {
   if (value > h.max.load(std::memory_order_relaxed)) {
     h.max.store(value, std::memory_order_relaxed);
   }
-  std::atomic<uint32_t>& bucket = h.buckets[BucketIndex(value)];
-  bucket.store(bucket.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -369,16 +327,12 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     out.sum = r.sum;
     double min = r.min;
     double max = r.max;
-    out.buckets = r.buckets;
     for (const Shard* shard : impl.live_shards) {
       const HistogramShard& h = shard->histograms[i];
       out.count += h.count.load(std::memory_order_relaxed);
       out.sum += h.sum.load(std::memory_order_relaxed);
       min = std::min(min, h.min.load(std::memory_order_relaxed));
       max = std::max(max, h.max.load(std::memory_order_relaxed));
-      for (int b = 0; b < kHistogramBuckets; ++b) {
-        out.buckets[b] += h.buckets[b].load(std::memory_order_relaxed);
-      }
     }
     out.min = out.count > 0 ? min : 0.0;
     out.max = out.count > 0 ? max : 0.0;
@@ -410,9 +364,6 @@ void MetricsRegistry::Reset() {
                   std::memory_order_relaxed);
       h.max.store(-std::numeric_limits<double>::infinity(),
                   std::memory_order_relaxed);
-      for (auto& bucket : h.buckets) {
-        bucket.store(0, std::memory_order_relaxed);
-      }
     }
   }
 }
@@ -429,25 +380,6 @@ double MetricsSnapshot::GaugeValueOf(std::string_view name) const {
     if (g.name == name) return g.value;
   }
   return 0.0;
-}
-
-double MetricsSnapshot::HistogramValue::ValueAtQuantile(double q) const {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count);
-  double cumulative = 0.0;
-  for (int b = 0; b < kHistogramBuckets; ++b) {
-    if (buckets[b] == 0) continue;
-    const double in_bucket = static_cast<double>(buckets[b]);
-    if (cumulative + in_bucket >= target) {
-      const double lo = b == 0 ? 0.0 : std::ldexp(1.0, b - 1);
-      const double hi = std::ldexp(1.0, b);
-      const double frac = (target - cumulative) / in_bucket;
-      return std::clamp(lo + (hi - lo) * frac, min, max);
-    }
-    cumulative += in_bucket;
-  }
-  return max;
 }
 
 double MetricsSnapshot::SumCounters(std::string_view base,
@@ -483,6 +415,31 @@ const SketchHistogramSummary* MetricsSnapshot::FindSketch(
     if (s.name == name) return &s;
   }
   return nullptr;
+}
+
+void AppendSketchSummaryFields(std::ostream& out,
+                               const SketchHistogramSummary& s) {
+  out << "\"count\":" << s.count << ",\"min\":";
+  AppendJsonNumber(out, s.min);
+  out << ",\"max\":";
+  AppendJsonNumber(out, s.max);
+  out << ",\"eps\":";
+  AppendJsonNumber(out, s.eps);
+  const struct {
+    const char* key;
+    const SketchQuantile& q;
+  } grid[] = {{"p50", s.p50},   {"p90", s.p90},   {"p99", s.p99},
+              {"p999", s.p999}, {"wp50", s.wp50}, {"wp99", s.wp99}};
+  for (const auto& [key, q] : grid) {
+    out << ",\"" << key << "\":";
+    AppendJsonNumber(out, q.value);
+    out << ",\"" << key << "_lo\":";
+    AppendJsonNumber(out, q.lo);
+    out << ",\"" << key << "_hi\":";
+    AppendJsonNumber(out, q.hi);
+  }
+  out << ",\"window_count\":" << s.window_count
+      << ",\"windows\":" << s.windows;
 }
 
 namespace {
@@ -534,18 +491,6 @@ void MetricsSnapshot::WriteJsonl(std::ostream& out) const {
     AppendJsonNumber(out, h.min);
     out << ",\"max\":";
     AppendJsonNumber(out, h.max);
-    out << ",\"buckets\":[";
-    bool first = true;
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      if (h.buckets[b] == 0) continue;
-      if (!first) out << ',';
-      first = false;
-      // `le` is the bucket's exclusive upper bound 2^b.
-      out << "{\"le\":";
-      AppendJsonNumber(out, std::ldexp(1.0, b));
-      out << ",\"count\":" << h.buckets[b] << '}';
-    }
-    out << "]";
     AppendParsedLabels(out, h.name);
     out << "}\n";
   }
@@ -553,27 +498,8 @@ void MetricsSnapshot::WriteJsonl(std::ostream& out) const {
     if (s.count == 0) continue;
     out << "{\"type\":\"sketch_histogram\",\"name\":";
     AppendJsonString(out, s.name);
-    out << ",\"count\":" << s.count << ",\"min\":";
-    AppendJsonNumber(out, s.min);
-    out << ",\"max\":";
-    AppendJsonNumber(out, s.max);
-    out << ",\"eps\":";
-    AppendJsonNumber(out, s.eps);
-    const struct {
-      const char* key;
-      const SketchQuantile& q;
-    } grid[] = {{"p50", s.p50}, {"p90", s.p90}, {"p99", s.p99},
-                {"p999", s.p999}, {"wp50", s.wp50}, {"wp99", s.wp99}};
-    for (const auto& [key, q] : grid) {
-      out << ",\"" << key << "\":";
-      AppendJsonNumber(out, q.value);
-      out << ",\"" << key << "_lo\":";
-      AppendJsonNumber(out, q.lo);
-      out << ",\"" << key << "_hi\":";
-      AppendJsonNumber(out, q.hi);
-    }
-    out << ",\"window_count\":" << s.window_count
-        << ",\"windows\":" << s.windows;
+    out << ',';
+    AppendSketchSummaryFields(out, s);
     AppendParsedLabels(out, s.name);
     out << "}\n";
   }

@@ -1,7 +1,6 @@
 #ifndef SKETCHML_COMMON_METRICS_REGISTRY_H_
 #define SKETCHML_COMMON_METRICS_REGISTRY_H_
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -12,11 +11,6 @@
 #include "common/obs.h"
 
 namespace sketchml::obs {
-
-/// Number of power-of-two histogram buckets. Bucket `i` counts values in
-/// [2^(i-1), 2^i) (bucket 0 holds everything < 1). Nanosecond latencies
-/// and message byte sizes both fit comfortably in 64 buckets.
-inline constexpr int kHistogramBuckets = 64;
 
 /// Ordered key=value label pairs attributing a metric to an entity
 /// (worker=3, server=0, codec=sketchml, phase=encode). Labels are part
@@ -75,8 +69,10 @@ class Gauge {
   int id_ = -1;
 };
 
-/// Handle to a named fixed-bucket (power-of-two) histogram tracking
-/// count/sum/min/max plus the bucket counts.
+/// Handle to a named distribution summarized exactly by count/sum/min/max
+/// (sums add across threads, so means merge). It answers no quantiles:
+/// a distribution whose tail matters goes on an `obs::SketchHistogram`
+/// (src/sketch/sketch_histogram.h), the repo's one quantile instrument.
 class Histogram {
  public:
   Histogram() = default;
@@ -134,6 +130,13 @@ std::vector<SketchHistogramSummary> CollectSketchSummaries();
 using SketchResetHook = void (*)();
 void SetSketchResetHook(SketchResetHook hook);
 
+/// Writes a summary's JSON fields without enclosing braces: `"count"`,
+/// `"min"`, `"max"`, `"eps"`, each quantile with its `_lo`/`_hi`
+/// bracket, then `"window_count"` and `"windows"`. The metrics dump and
+/// the series sampler both write sketches through it.
+void AppendSketchSummaryFields(std::ostream& out,
+                               const SketchHistogramSummary& s);
+
 /// Point-in-time aggregation of every registered metric (all thread
 /// shards summed). Plain data: safe to copy, diff, and serialize.
 struct MetricsSnapshot {
@@ -151,17 +154,6 @@ struct MetricsSnapshot {
     double sum = 0.0;
     double min = 0.0;  // Meaningful only when count > 0.
     double max = 0.0;
-    std::array<uint64_t, kHistogramBuckets> buckets{};
-
-    /// Quantile estimate interpolated linearly within the pow2 bucket
-    /// containing rank q*count, clamped to the observed [min, max]
-    /// (q outside [0, 1] is clamped; returns 0 when the histogram is
-    /// empty). Bucket resolution bounds the error: the estimate is
-    /// within a factor of 2 of the true order statistic.
-    double ValueAtQuantile(double q) const;
-    double P50() const { return ValueAtQuantile(0.50); }
-    double P95() const { return ValueAtQuantile(0.95); }
-    double P99() const { return ValueAtQuantile(0.99); }
 
     /// Mean recorded value (0 when empty).
     double Mean() const {

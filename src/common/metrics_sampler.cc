@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/obs.h"
@@ -18,32 +19,8 @@ namespace sketchml::obs {
 
 namespace {
 
-void AppendJsonString(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      default: out << c;
-    }
-  }
-  out << '"';
-}
-
-void AppendJsonNumber(std::ostream& out, double v) {
-  if (!std::isfinite(v)) {
-    out << "null";
-    return;
-  }
-  if (v == std::floor(v) && std::abs(v) < 9e15) {
-    out << static_cast<long long>(v);
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out << buf;
-  }
-}
+using common::AppendJsonNumber;
+using common::AppendJsonString;
 
 /// Prom metric-name charset: [a-zA-Z0-9_:]. Slashes (our namespace
 /// separator) and anything else become '_'; a "sketchml_" prefix
@@ -61,7 +38,7 @@ std::string PromName(std::string_view base) {
 
 /// `{k1="v1",k2="v2"}` label block (empty string when no labels), with
 /// prom escaping of label values. `extra` appends one more pair, used
-/// for `le`/`quantile`.
+/// for `quantile`.
 std::string PromLabels(const MetricLabels& labels, std::string_view extra_key,
                        std::string_view extra_value) {
   if (labels.empty() && extra_key.empty()) return "";
@@ -128,17 +105,8 @@ void WritePromExposition(const MetricsSnapshot& snapshot, std::ostream& out) {
     if (h.count == 0) continue;
     const ParsedMetricName parsed = ParseMetricName(h.name);
     const std::string family = PromName(parsed.base);
-    PromTypeLine(out, &seen, family, "histogram");
-    uint64_t cumulative = 0;
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      if (h.buckets[b] == 0) continue;
-      cumulative += h.buckets[b];
-      out << family << "_bucket"
-          << PromLabels(parsed.labels, "le", PromNumber(std::ldexp(1.0, b)))
-          << ' ' << cumulative << '\n';
-    }
-    out << family << "_bucket" << PromLabels(parsed.labels, "le", "+Inf")
-        << ' ' << h.count << '\n';
+    // Exact count/sum only: a quantile-free summary.
+    PromTypeLine(out, &seen, family, "summary");
     out << family << "_sum" << PromLabels(parsed.labels, "", "") << ' '
         << PromNumber(h.sum) << '\n';
     out << family << "_count" << PromLabels(parsed.labels, "", "") << ' '
@@ -284,12 +252,6 @@ void MetricsSampler::WriteSampleLocked(std::string_view reason) {
     AppendJsonNumber(out_, h.min);
     out_ << ",\"max\":";
     AppendJsonNumber(out_, h.max);
-    out_ << ",\"p50\":";
-    AppendJsonNumber(out_, h.P50());
-    out_ << ",\"p95\":";
-    AppendJsonNumber(out_, h.P95());
-    out_ << ",\"p99\":";
-    AppendJsonNumber(out_, h.P99());
     out_ << '}';
   }
   out_ << "},\"sketches\":{";
@@ -299,27 +261,9 @@ void MetricsSampler::WriteSampleLocked(std::string_view reason) {
     if (!first) out_ << ',';
     first = false;
     AppendJsonString(out_, s.name);
-    out_ << ":{\"count\":" << s.count << ",\"min\":";
-    AppendJsonNumber(out_, s.min);
-    out_ << ",\"max\":";
-    AppendJsonNumber(out_, s.max);
-    out_ << ",\"eps\":";
-    AppendJsonNumber(out_, s.eps);
-    const struct {
-      const char* key;
-      const SketchQuantile& q;
-    } grid[] = {{"p50", s.p50},   {"p90", s.p90},   {"p99", s.p99},
-                {"p999", s.p999}, {"wp50", s.wp50}, {"wp99", s.wp99}};
-    for (const auto& [key, q] : grid) {
-      out_ << ",\"" << key << "\":";
-      AppendJsonNumber(out_, q.value);
-      out_ << ",\"" << key << "_lo\":";
-      AppendJsonNumber(out_, q.lo);
-      out_ << ",\"" << key << "_hi\":";
-      AppendJsonNumber(out_, q.hi);
-    }
-    out_ << ",\"window_count\":" << s.window_count
-         << ",\"windows\":" << s.windows << '}';
+    out_ << ":{";
+    AppendSketchSummaryFields(out_, s);
+    out_ << '}';
   }
   out_ << "}}\n";
   out_.flush();

@@ -39,8 +39,8 @@ std::string BuildGitSha();
 /// Prometheus text-exposition writer for a metrics snapshot
 /// (`--metrics-format=prom`). Metric names are mangled to the prom
 /// charset (`trainer/worker_seconds{worker=3}` becomes
-/// `sketchml_trainer_worker_seconds{worker="3"}`), pow2 histograms become
-/// classic `_bucket{le=...}/_sum/_count` families, and sketch histograms
+/// `sketchml_trainer_worker_seconds{worker="3"}`), histograms become
+/// quantile-free summaries (`_sum`/`_count`), and sketch histograms
 /// become summaries with `quantile` labels. Zero counters and empty
 /// histograms are skipped, matching the JSONL dumps.
 void WritePromExposition(const MetricsSnapshot& snapshot, std::ostream& out);
@@ -54,8 +54,7 @@ void WritePromExposition(const MetricsSnapshot& snapshot, std::ostream& out);
 ///   {"type":"sample","t_ns":...,"reason":"interval"|"epoch"|"final",
 ///    "dropped_trace_events":N,
 ///    "counters":{name:value,...},"gauges":{...},
-///    "histograms":{name:{"count":..,"sum":..,"min":..,"max":..,
-///                        "p50":..,"p95":..,"p99":..},...},
+///    "histograms":{name:{"count":..,"sum":..,"min":..,"max":..},...},
 ///    "sketches":{name:{"count":..,"min":..,"max":..,"eps":..,
 ///                      "p50":..,"p50_lo":..,"p50_hi":..,...,"p999_hi":..,
 ///                      "wp50":..,...,"wp99_hi":..,

@@ -8,12 +8,15 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/json.h"
 #include "common/metrics_registry.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
 namespace sketchml::obs {
 namespace {
+
+using common::AppendJsonString;
 
 constexpr size_t kDefaultRingCapacity = 1 << 14;  // Events per thread.
 
@@ -162,19 +165,6 @@ void InitEvent(TraceEvent* event, const char* category, std::string_view name,
     event->trace_id = NextId();
     event->parent_span_id = 0;
   }
-}
-
-void AppendJsonString(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      default: out << c;
-    }
-  }
-  out << '"';
 }
 
 /// The event's args object, merging the stored key/value args with the

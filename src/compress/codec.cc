@@ -38,8 +38,11 @@ GradientCodec::Instruments& GradientCodec::GetInstruments() {
     const auto counter = [&](const char* field) {
       return registry.GetCounter(std::string("codec/") + field, labels);
     };
-    const auto histogram = [&](const char* field) {
-      return registry.GetHistogram(std::string("codec/") + field, labels);
+    // Latency sketches merge across instances, so every fork shares the
+    // codec's one slot instead of keeping a per-worker one.
+    const auto sketch = [&](const char* field) {
+      return obs::SketchHistogramRegistry::Global().Get(
+          std::string("codec/") + field, {{"codec", name}});
     };
     instruments_.encode_calls = counter("encode_calls");
     instruments_.encode_pairs = counter("encode_pairs");
@@ -50,9 +53,8 @@ GradientCodec::Instruments& GradientCodec::GetInstruments() {
     instruments_.decode_pairs = counter("decode_pairs");
     instruments_.decode_bytes = counter("decode_bytes");
     instruments_.decode_errors = counter("decode_errors");
-    instruments_.encode_ns = histogram("encode_ns");
-    instruments_.decode_ns = histogram("decode_ns");
-    instruments_.message_bytes = histogram("message_bytes");
+    instruments_.encode_ns = sketch("encode_ns");
+    instruments_.decode_ns = sketch("decode_ns");
     instruments_.initialized = true;
   }
   return instruments_;
@@ -85,7 +87,6 @@ common::Status GradientCodec::Encode(const common::SparseGradient& grad,
   ins.raw_bytes.Add(
       static_cast<double>(grad.size() * sizeof(common::GradientPair)));
   ins.encode_ns.Record(static_cast<double>(elapsed_ns));
-  ins.message_bytes.Record(static_cast<double>(out->size()));
   return status;
 }
 

@@ -11,6 +11,7 @@
 #include "common/metrics_registry.h"
 #include "common/sparse.h"
 #include "common/status.h"
+#include "sketch/sketch_histogram.h"
 
 namespace sketchml::common {
 class ThreadPool;
@@ -34,11 +35,13 @@ struct EncodedGradient {
 ///
 /// `Encode`/`Decode` are non-virtual wrappers (NVI): they validate the
 /// shared precondition and, when observability is on, record per-codec
-/// labeled metrics ("codec/encode_bytes{codec=<name>}", plus any labels
-/// attached with `SetMetricLabel`, e.g. worker=3 on per-worker forks)
-/// and trace spans around the virtual `EncodeImpl`/`DecodeImpl` that
-/// implementations provide. With observability off the wrappers cost one
-/// branch.
+/// labeled counters ("codec/encode_bytes{codec=<name>}", plus any labels
+/// attached with `SetMetricLabel`, e.g. worker=3 on per-worker forks),
+/// the "codec/encode_ns"/"codec/decode_ns" latency sketches and trace
+/// spans around the virtual `EncodeImpl`/`DecodeImpl` that
+/// implementations provide. The latency sketches carry the codec label
+/// only, so every fork of a codec records into one slot. With
+/// observability off the wrappers cost one branch.
 class GradientCodec {
  public:
   virtual ~GradientCodec() = default;
@@ -108,10 +111,10 @@ class GradientCodec {
   virtual void SetThreadPool(common::ThreadPool* pool) { (void)pool; }
 
   /// Attaches an extra metric label to this instance's "codec/..."
-  /// metrics and spans (the trainer tags each per-worker fork with
-  /// worker=<w>). Re-setting an existing key overwrites its value.
-  /// Labels affect metric identity only, never the byte stream. Calls
-  /// after the first instrumented Encode/Decode re-resolve the handles.
+  /// counters (the trainer tags each per-worker fork with worker=<w>).
+  /// Re-setting an existing key overwrites its value. Labels affect
+  /// metric identity only, never the byte stream. Calls after the first
+  /// instrumented Encode/Decode re-resolve the handles.
   void SetMetricLabel(std::string_view key, std::string_view value);
 
   /// Labels attached via SetMetricLabel (not including the implicit
@@ -139,7 +142,7 @@ class GradientCodec {
     obs::Counter encode_calls, encode_pairs, encode_bytes, raw_bytes,
         encode_errors;
     obs::Counter decode_calls, decode_pairs, decode_bytes, decode_errors;
-    obs::Histogram encode_ns, decode_ns, message_bytes;
+    obs::SketchHistogram encode_ns, decode_ns;  // {codec=<name>} only.
   };
 
   Instruments& GetInstruments();

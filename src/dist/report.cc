@@ -28,6 +28,8 @@ std::string FormatSeconds(double seconds) {
   return Format("%.1f us", seconds * 1e6);
 }
 
+std::string FormatNanos(double ns) { return FormatSeconds(ns * 1e-9); }
+
 std::string FormatBytes(double bytes) {
   if (bytes >= 1 << 20) {
     return Format("%.2f MiB", bytes / static_cast<double>(1 << 20));
@@ -67,22 +69,6 @@ SeriesSample ParseSample(const JsonValue& line) {
   sample.dropped_trace_events = line.NumberOr("dropped_trace_events", 0.0);
   ParseNumberMap(line.Find("counters"), &sample.counters);
   ParseNumberMap(line.Find("gauges"), &sample.gauges);
-  if (const JsonValue* hists = line.Find("histograms");
-      hists != nullptr && hists->is_object()) {
-    for (const auto& [name, h] : hists->object_items()) {
-      if (!h.is_object()) continue;
-      HistogramSummary summary;
-      summary.name = name;
-      summary.count = h.NumberOr("count", 0.0);
-      summary.sum = h.NumberOr("sum", 0.0);
-      summary.min = h.NumberOr("min", 0.0);
-      summary.max = h.NumberOr("max", 0.0);
-      summary.p50 = h.NumberOr("p50", 0.0);
-      summary.p95 = h.NumberOr("p95", 0.0);
-      summary.p99 = h.NumberOr("p99", 0.0);
-      sample.histograms.push_back(std::move(summary));
-    }
-  }
   if (const JsonValue* sketches = line.Find("sketches");
       sketches != nullptr && sketches->is_object()) {
     for (const auto& [name, s] : sketches->object_items()) {
@@ -170,14 +156,6 @@ double SeriesSample::GaugeOr(std::string_view name,
     if (n == name) return v;
   }
   return default_value;
-}
-
-const HistogramSummary* SeriesSample::FindHistogram(
-    std::string_view name) const {
-  for (const auto& h : histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
 }
 
 const SketchSummary* SeriesSample::FindSketch(std::string_view name) const {
@@ -359,28 +337,17 @@ RunReport BuildRunReport(const RunSeries& series) {
     row.encode_bytes =
         final_sample->SumCounters("codec/encode_bytes", want);
     row.raw_bytes = final_sample->SumCounters("codec/raw_bytes", want);
-    // Latency histograms exist once per codec instance (driver lane plus
-    // per-worker forks). Means merge exactly; quantiles do not, so take
-    // the worst p99 across instances as the codec's tail.
-    double encode_count = 0.0, encode_sum = 0.0;
-    double decode_count = 0.0, decode_sum = 0.0;
-    for (const HistogramSummary& h : final_sample->histograms) {
-      const obs::ParsedMetricName parsed = obs::ParseMetricName(h.name);
-      if (obs::LabelValue(parsed.labels, "codec") != codec) continue;
-      if (parsed.base == "codec/encode_ns") {
-        encode_count += h.count;
-        encode_sum += h.sum;
-        row.p99_encode_ns = std::max(row.p99_encode_ns, h.p99);
-      } else if (parsed.base == "codec/decode_ns") {
-        decode_count += h.count;
-        decode_sum += h.sum;
-        row.p99_decode_ns = std::max(row.p99_decode_ns, h.p99);
-      }
+    // Every instance of the codec records into one latency sketch.
+    if (const SketchSummary* s = final_sample->FindSketch(
+            obs::LabeledName("codec/encode_ns", want))) {
+      row.p50_encode_ns = s->p50;
+      row.p99_encode_ns = s->p99;
     }
-    row.mean_encode_ns =
-        encode_count == 0.0 ? 0.0 : encode_sum / encode_count;
-    row.mean_decode_ns =
-        decode_count == 0.0 ? 0.0 : decode_sum / decode_count;
+    if (const SketchSummary* s = final_sample->FindSketch(
+            obs::LabeledName("codec/decode_ns", want))) {
+      row.p50_decode_ns = s->p50;
+      row.p99_decode_ns = s->p99;
+    }
     report.codecs.push_back(row);
   }
 
@@ -552,10 +519,10 @@ std::string RenderRunReport(const RunReport& report) {
           << FormatBytes(row.raw_bytes) << " -> "
           << FormatBytes(row.encode_bytes) << ", "
           << Format("%.0f", row.encode_calls) << " encodes)"
-          << ", encode mean " << Format("%.0f ns", row.mean_encode_ns)
-          << " p99 " << Format("%.0f ns", row.p99_encode_ns)
-          << ", decode mean " << Format("%.0f ns", row.mean_decode_ns)
-          << " p99 " << Format("%.0f ns", row.p99_decode_ns) << '\n';
+          << ", encode p50 " << FormatNanos(row.p50_encode_ns) << " p99 "
+          << FormatNanos(row.p99_encode_ns) << ", decode p50 "
+          << FormatNanos(row.p50_decode_ns) << " p99 "
+          << FormatNanos(row.p99_decode_ns) << '\n';
     }
   }
 
@@ -597,16 +564,18 @@ std::string RenderRunReport(const RunReport& report) {
     out << "       count        p50        p99  [p99 lo, hi]          "
            "p999       wp99  name\n";
     for (const SketchSummary& s : report.sketches) {
+      // Sketches record seconds, except the `_ns` codec latencies.
+      const bool nanos = EndsWith(obs::ParseMetricName(s.name).base, "_ns");
+      const auto fmt = [nanos](double v) {
+        return nanos ? FormatNanos(v) : FormatSeconds(v);
+      };
       char buf[256];
       std::snprintf(buf, sizeof(buf),
                     "  %10s  %9s  %9s  [%s, %s]  %9s  %9s  %s\n",
-                    Format("%.0f", s.count).c_str(),
-                    FormatSeconds(s.p50).c_str(),
-                    FormatSeconds(s.p99).c_str(),
-                    FormatSeconds(s.p99_lo).c_str(),
-                    FormatSeconds(s.p99_hi).c_str(),
-                    FormatSeconds(s.p999).c_str(),
-                    FormatSeconds(s.wp99).c_str(), s.name.c_str());
+                    Format("%.0f", s.count).c_str(), fmt(s.p50).c_str(),
+                    fmt(s.p99).c_str(), fmt(s.p99_lo).c_str(),
+                    fmt(s.p99_hi).c_str(), fmt(s.p999).c_str(),
+                    fmt(s.wp99).c_str(), s.name.c_str());
       out << buf;
     }
   }
@@ -895,6 +864,11 @@ common::Result<std::string> SummarizeMetricsJsonl(std::string_view text) {
                         : value.NumberOr("sum", 0.0) /
                               value.NumberOr("count", 1.0))
           << ", max " << Format("%.4g", value.NumberOr("max", 0.0)) << '\n';
+    } else if (type == "sketch_histogram") {
+      out << "  " << name << ": count "
+          << Format("%.0f", value.NumberOr("count", 0.0)) << ", p50 "
+          << Format("%.4g", value.NumberOr("p50", 0.0)) << ", p99 "
+          << Format("%.4g", value.NumberOr("p99", 0.0)) << '\n';
     } else {
       out << "  " << name << ": "
           << Format("%.10g", value.NumberOr("value", 0.0)) << '\n';

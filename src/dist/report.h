@@ -21,21 +21,6 @@ namespace sketchml::dist {
 /// summary, per-codec compression/recovery summary, and an A/B diff used
 /// as a bench-regression gate.
 
-/// Summary of one histogram inside a time-series sample (the sampler
-/// writes quantiles, not raw buckets).
-struct HistogramSummary {
-  std::string name;  // Canonical, possibly labeled.
-  double count = 0.0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-
-  double Mean() const { return count == 0.0 ? 0.0 : sum / count; }
-};
-
 /// Summary of one sketch-backed histogram inside a sample: KLL quantiles
 /// with their error windows (see SketchHistogramSummary in the obs
 /// layer). `pXX_lo`/`pXX_hi` are the values at rank q∓2ε — the interval
@@ -66,12 +51,10 @@ struct SeriesSample {
   double dropped_trace_events = 0.0;
   std::vector<std::pair<std::string, double>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSummary> histograms;
   std::vector<SketchSummary> sketches;
 
   double CounterOr(std::string_view name, double default_value) const;
   double GaugeOr(std::string_view name, double default_value) const;
-  const HistogramSummary* FindHistogram(std::string_view name) const;
   const SketchSummary* FindSketch(std::string_view name) const;
 
   /// Sum of counters with base name `base` whose labels contain all of
@@ -135,9 +118,11 @@ struct CodecRow {
   double encode_calls = 0.0;
   double encode_bytes = 0.0;
   double raw_bytes = 0.0;
-  double mean_encode_ns = 0.0;
-  double mean_decode_ns = 0.0;
-  double p99_encode_ns = 0.0;  // Max p99 across instances.
+  // Quantiles of the codec's `codec/encode_ns` / `codec/decode_ns`
+  // latency sketches, the one slot every instance records into.
+  double p50_encode_ns = 0.0;
+  double p99_encode_ns = 0.0;
+  double p50_decode_ns = 0.0;
   double p99_decode_ns = 0.0;
 
   /// raw/encoded — the paper's compression-ratio convention (>1 good).
@@ -334,7 +319,9 @@ struct TraceSummary {
 TraceSummary SummarizeTrace(const ParsedTrace& trace);
 std::string RenderTraceSummary(const TraceSummary& summary);
 
-/// Renders a `*.metrics.jsonl` snapshot dump as a sorted table.
+/// Renders a `*.metrics.jsonl` snapshot dump as a table, one line per
+/// metric in file order: counter/gauge values, histogram count/mean/max,
+/// sketch count/p50/p99.
 common::Result<std::string> SummarizeMetricsJsonl(std::string_view text);
 
 /// Reads a whole file into a string.

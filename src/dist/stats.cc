@@ -1,7 +1,6 @@
 #include "dist/stats.h"
 
 #include <cstdio>
-#include <map>
 
 #include "common/obs.h"
 
@@ -202,70 +201,6 @@ EpochStats EpochStatsFromMetrics(const obs::MetricsSnapshot& before,
   stats.train_loss = after.GaugeValueOf("trainer/train_loss");
   stats.test_loss = after.GaugeValueOf("trainer/test_loss");
   return stats;
-}
-
-std::string LatencyQuantileSummary(const obs::MetricsSnapshot& snap) {
-  struct Group {
-    uint64_t count = 0;
-    double sum = 0.0;
-    double p50 = 0.0, p95 = 0.0, p99 = 0.0;
-  };
-  // Key: base plus the identity label (codec=/pool=), worker forks of
-  // one codec merged into the codec's group.
-  std::map<std::string, Group> groups;
-  for (const auto& h : snap.histograms) {
-    if (h.count == 0) continue;
-    const std::string_view name = h.name;
-    const size_t suffix = name.find('{') == std::string_view::npos
-                              ? name.size()
-                              : name.find('{');
-    if (suffix < 3 || name.substr(suffix - 3, 3) != "_ns") continue;
-    const obs::ParsedMetricName parsed = obs::ParseMetricName(name);
-    std::string key = parsed.base;
-    for (const char* ident : {"codec", "pool"}) {
-      const std::string_view value = obs::LabelValue(parsed.labels, ident);
-      if (!value.empty()) {
-        key += '{';
-        key += ident;
-        key += '=';
-        key += value;
-        key += '}';
-        break;
-      }
-    }
-    Group& g = groups[key];
-    g.count += h.count;
-    g.sum += h.sum;
-    g.p50 = std::max(g.p50, h.P50());
-    g.p95 = std::max(g.p95, h.P95());
-    g.p99 = std::max(g.p99, h.P99());
-  }
-  std::string out;
-  for (const auto& [key, g] : groups) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s: n=%llu mean=%.0fns p50<=%.0fns p95<=%.0fns "
-                  "p99<=%.0fns\n",
-                  key.c_str(), static_cast<unsigned long long>(g.count),
-                  g.sum / static_cast<double>(g.count), g.p50, g.p95, g.p99);
-    out += buf;
-  }
-  // KLL-backed latency sketches (unlike the pow2 histograms, quantiles
-  // here merge exactly across workers — the cluster-wide lines are true
-  // distribution estimates, ±eps in rank). wp99 is the windowed tail
-  // over the last kSketchHistogramWindows epochs.
-  for (const auto& s : snap.sketches) {
-    if (s.count == 0) continue;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s: n=%llu p50=%.3gs p99=%.3gs [%.3g, %.3g] "
-                  "p999=%.3gs wp99=%.3gs (eps=%.2g)\n",
-                  s.name.c_str(), static_cast<unsigned long long>(s.count),
-                  s.p50.value, s.p99.value, s.p99.lo, s.p99.hi,
-                  s.p999.value, s.wp99.value, s.eps);
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace sketchml::dist

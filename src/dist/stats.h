@@ -111,15 +111,6 @@ void PublishEpochStats(const EpochStats& stats);
 EpochStats EpochStatsFromMetrics(const obs::MetricsSnapshot& before,
                                  const obs::MetricsSnapshot& after);
 
-/// Multi-line p50/p95/p99 summary of every latency histogram ("*_ns") in
-/// `snap`, grouped per codec/pool (quantiles across a group's instances
-/// are not mergeable, so each line reports the summed count and mean
-/// plus the *worst* instance's quantiles — a conservative tail bound).
-/// KLL-backed latency sketches follow, with error-bound brackets on p99
-/// and the windowed tail (their quantiles DO merge exactly — see
-/// docs/observability.md). Empty string when nothing has samples.
-std::string LatencyQuantileSummary(const obs::MetricsSnapshot& snap);
-
 }  // namespace sketchml::dist
 
 #endif  // SKETCHML_DIST_STATS_H_

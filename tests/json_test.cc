@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
 #include <string>
 
 namespace sketchml::common {
@@ -80,6 +82,29 @@ TEST(JsonTest, TypedLookupsCoverWrongTypes) {
   EXPECT_EQ(parsed->StringOr("s", ""), "x");
 }
 
+TEST(JsonTest, WritersRoundTripEveryAsciiByte) {
+  std::string text;
+  for (int c = 1; c < 0x80; ++c) text.push_back(static_cast<char>(c));
+  std::ostringstream out;
+  AppendJsonString(out, text);
+  for (const char c : out.str()) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << out.str();
+  }
+  EXPECT_NE(out.str().find("\\t"), std::string::npos);
+  EXPECT_NE(out.str().find("\\u0001"), std::string::npos);
+  auto parsed = JsonValue::Parse(out.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->string_value(), text);
+
+  std::ostringstream numbers;
+  AppendJsonNumber(numbers, 42.0);
+  numbers << ' ';
+  AppendJsonNumber(numbers, 0.125);
+  numbers << ' ';
+  AppendJsonNumber(numbers, std::nan(""));
+  EXPECT_EQ(numbers.str(), "42 0.125 null");
+}
+
 TEST(JsonTest, RoundTripsMetricsSamplerShapes) {
   // The exact shapes the sampler emits must stay parseable.
   const std::string header =
@@ -96,9 +121,8 @@ TEST(JsonTest, RoundTripsMetricsSamplerShapes) {
       R"("counters":{"trainer/compute_seconds":0.125,)"
       R"("trainer/worker_seconds{worker=0,phase=compute}":0.0625},)"
       R"("gauges":{"trainer/train_loss":0.69},)"
-      R"("histograms":{"codec/encode_ns{codec=raw}":)"
-      R"({"count":10,"sum":1000,"min":50,"max":200,)"
-      R"("p50":100,"p95":190,"p99":199}}})";
+      R"("histograms":{"threadpool/task_run_ns{pool=trainer}":)"
+      R"({"count":10,"sum":1000,"min":50,"max":200}}})";
   auto parsed = JsonValue::Parse(sample);
   ASSERT_TRUE(parsed.ok());
   const JsonValue* counters = parsed->Find("counters");

@@ -76,10 +76,10 @@ TEST(MetricsRegistryTest, GaugeSetAndAdd) {
 TEST(MetricsRegistryTest, HistogramStatsAndBuckets) {
   ScopedMetrics scoped;
   Histogram h = MetricsRegistry::Global().GetHistogram("test/hist");
-  h.Record(0.5);   // Bucket 0: < 1.
-  h.Record(1.0);   // Bucket 1: [1, 2).
-  h.Record(3.0);   // Bucket 2: [2, 4).
-  h.Record(100.0); // Bucket 7: [64, 128).
+  h.Record(0.5);
+  h.Record(1.0);
+  h.Record(3.0);
+  h.Record(100.0);
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   const auto* hist = snap.FindHistogram("test/hist");
   ASSERT_NE(hist, nullptr);
@@ -87,23 +87,21 @@ TEST(MetricsRegistryTest, HistogramStatsAndBuckets) {
   EXPECT_DOUBLE_EQ(hist->sum, 104.5);
   EXPECT_DOUBLE_EQ(hist->min, 0.5);
   EXPECT_DOUBLE_EQ(hist->max, 100.0);
-  EXPECT_EQ(hist->buckets[0], 1u);
-  EXPECT_EQ(hist->buckets[1], 1u);
-  EXPECT_EQ(hist->buckets[2], 1u);
-  EXPECT_EQ(hist->buckets[7], 1u);
+  EXPECT_DOUBLE_EQ(hist->Mean(), 26.125);
 }
 
 TEST(MetricsRegistryTest, HistogramExtremeValuesLandInEdgeBuckets) {
   ScopedMetrics scoped;
   Histogram h = MetricsRegistry::Global().GetHistogram("test/edges");
   h.Record(-5.0);
-  h.Record(std::nan(""));
+  h.Record(std::nan(""));  // Counted, but never the min or the max.
   h.Record(1e19);
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   const auto* hist = snap.FindHistogram("test/edges");
   ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->buckets[0], 2u);
-  EXPECT_EQ(hist->buckets[kHistogramBuckets - 1], 1u);
+  EXPECT_EQ(hist->count, 3u);
+  EXPECT_DOUBLE_EQ(hist->min, -5.0);
+  EXPECT_DOUBLE_EQ(hist->max, 1e19);
 }
 
 TEST(MetricsRegistryTest, AggregatesAcrossPoolThreads) {
@@ -249,55 +247,10 @@ TEST(MetricsRegistryTest, LabeledJsonlCarriesParsedLabels) {
       std::string::npos);
 }
 
-TEST(MetricsRegistryTest, HistogramQuantilesInterpolateWithinBuckets) {
-  ScopedMetrics scoped;
-  Histogram h = MetricsRegistry::Global().GetHistogram("test/quant");
-  // 100 values spread over [1, 100]: true p50 ~ 50, p99 ~ 99.
-  for (int i = 1; i <= 100; ++i) h.Record(static_cast<double>(i));
-  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-  const auto* hist = snap.FindHistogram("test/quant");
-  ASSERT_NE(hist, nullptr);
-  const double p50 = hist->P50();
-  const double p99 = hist->P99();
-  // Pow2 buckets bound the error to a factor of two.
-  EXPECT_GE(p50, 25.0);
-  EXPECT_LE(p50, 100.0);
-  EXPECT_GE(p99, 64.0);
-  EXPECT_LE(p99, 100.0);
-  EXPECT_LE(p50, p99);
-  // Quantiles clamp to the observed range.
-  EXPECT_GE(hist->ValueAtQuantile(0.0), hist->min);
-  EXPECT_DOUBLE_EQ(hist->ValueAtQuantile(1.0), hist->max);
-  EXPECT_DOUBLE_EQ(hist->Mean(), 50.5);
-}
-
-TEST(MetricsRegistryTest, QuantileOfEmptyHistogramIsZero) {
-  ScopedMetrics scoped;
-  MetricsRegistry::Global().GetHistogram("test/empty_quant");
-  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-  const auto* hist = snap.FindHistogram("test/empty_quant");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_DOUBLE_EQ(hist->P50(), 0.0);
-  EXPECT_DOUBLE_EQ(hist->P99(), 0.0);
-  EXPECT_DOUBLE_EQ(hist->Mean(), 0.0);
-}
-
-TEST(MetricsRegistryTest, SingleValueHistogramQuantilesClampToValue) {
-  ScopedMetrics scoped;
-  Histogram h = MetricsRegistry::Global().GetHistogram("test/single");
-  h.Record(1000.0);
-  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-  const auto* hist = snap.FindHistogram("test/single");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_DOUBLE_EQ(hist->P50(), 1000.0);
-  EXPECT_DOUBLE_EQ(hist->P95(), 1000.0);
-  EXPECT_DOUBLE_EQ(hist->P99(), 1000.0);
-}
-
 TEST(PromExpositionTest, GoldenOutput) {
   // Hand-built snapshot so the expected text is exact and hermetic: label
-  // mangling, per-family TYPE lines, cumulative buckets, and sketch
-  // summaries all pinned at once.
+  // mangling, per-family TYPE lines, quantile-free histogram summaries,
+  // and sketch summaries all pinned at once.
   MetricsSnapshot snap;
   snap.counters.push_back({LabeledName("trainer/bytes_up",
                                        {{"worker", "3"}}), 5.0});
@@ -312,8 +265,6 @@ TEST(PromExpositionTest, GoldenOutput) {
   hist.name = LabeledName("codec/encode_ns", {{"codec", "sk"}});
   hist.count = 2;
   hist.sum = 4.0;
-  hist.buckets[0] = 1;
-  hist.buckets[2] = 1;
   snap.histograms.push_back(hist);
   snap.histograms.push_back({});  // Empty histogram: skipped.
 
@@ -339,10 +290,7 @@ TEST(PromExpositionTest, GoldenOutput) {
             "sketchml_trainer_train_loss 0.5\n"
             "# TYPE sketchml_trainer_p99_loss gauge\n"
             "sketchml_trainer_p99_loss 3\n"
-            "# TYPE sketchml_codec_encode_ns histogram\n"
-            "sketchml_codec_encode_ns_bucket{codec=\"sk\",le=\"1\"} 1\n"
-            "sketchml_codec_encode_ns_bucket{codec=\"sk\",le=\"4\"} 2\n"
-            "sketchml_codec_encode_ns_bucket{codec=\"sk\",le=\"+Inf\"} 2\n"
+            "# TYPE sketchml_codec_encode_ns summary\n"
             "sketchml_codec_encode_ns_sum{codec=\"sk\"} 4\n"
             "sketchml_codec_encode_ns_count{codec=\"sk\"} 2\n"
             "# TYPE sketchml_trainer_compute_latency_seconds summary\n"

@@ -21,7 +21,7 @@ using sketchml::analysis::StripToCode;
 
 void AddFile(ProjectModel* model, const std::string& rel,
              const std::string& text) {
-  AddFileToModel(StripToCode(rel, rel, text), model);
+  AddFileToModel(StripToCode(rel, text), model);
 }
 
 const FunctionDef* FindFn(const ProjectModel& model, const std::string& name) {

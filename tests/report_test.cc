@@ -85,6 +85,30 @@ TEST(RunSeriesTest, RejectsMissingHeaderAndBadLines) {
   EXPECT_FALSE(bad.ok());
 }
 
+TEST(RunSeriesTest, HeaderEscapesControlBytes) {
+  // Run metadata is free text (a --dataset path may hold a tab): every
+  // byte below 0x20 must be escaped so strict JSON parsers accept it.
+  const std::string path = ::testing::TempDir() + "/escape.series.jsonl";
+  const std::string value = "a\tb\x01";
+  obs::MetricsSampler::Options options;
+  options.out_path = path;
+  options.metadata.Add("dataset", value);
+  auto started = obs::MetricsSampler::Start(std::move(options));
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  ASSERT_TRUE((*started)->Stop().ok());
+  auto text = ReadFileToString(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+
+  const std::string header = text->substr(0, text->find('\n'));
+  for (const char c : header) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << header;
+  }
+  auto series = ParseRunSeries(*text);
+  ASSERT_TRUE(series.ok()) << series.status().ToString();
+  EXPECT_EQ(series->MetaOr("dataset", ""), value);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: trainer -> sampler -> LoadRunSeries -> BuildRunReport.
 
@@ -196,8 +220,10 @@ TEST(RunReportTest, TrainerSeriesReconcilesWithEpochStats) {
   ASSERT_NE(sketchml_row, nullptr);
   EXPECT_GT(sketchml_row->encode_calls, 0.0);
   EXPECT_GT(sketchml_row->CompressionRatio(), 1.0);
-  EXPECT_GT(sketchml_row->mean_encode_ns, 0.0);
-  EXPECT_GE(sketchml_row->p99_encode_ns, sketchml_row->mean_encode_ns);
+  EXPECT_GT(sketchml_row->p50_encode_ns, 0.0);
+  EXPECT_LE(sketchml_row->p50_encode_ns, sketchml_row->p99_encode_ns);
+  EXPECT_GT(sketchml_row->p50_decode_ns, 0.0);
+  EXPECT_LE(sketchml_row->p50_decode_ns, sketchml_row->p99_decode_ns);
 
   // Epoch rows: one per boundary sample, phases partition the epoch and
   // straggler bookkeeping is populated.
@@ -618,6 +644,54 @@ TEST(RunReportTest, P99StragglerColumnsFromWorkerSketches) {
   EXPECT_EQ(p99_render.find("straggler  imbalance"), std::string::npos);
   EXPECT_NE(p99_render.find("w1"), std::string::npos);
   EXPECT_NE(p99_render.find("latency sketches"), std::string::npos);
+}
+
+TEST(RunReportTest, CodecLatencySketchesRenderInTimeUnits) {
+  // Codec latency sketches record nanoseconds; every other sketch
+  // records seconds. Both must render as times.
+  const std::string counters =
+      R"("codec/encode_calls{codec=sk,worker=0}":4)";
+  const std::string sketches =
+      SketchEntry("codec/encode_ns{codec=sk}", 4, /*p99=*/306009.0,
+                  300000.0, 310000.0) +
+      "," + SketchEntry("trainer/compute_latency_seconds{worker=0}", 4, 0.5,
+                        0.4, 0.6);
+  auto series = ParseRunSeries(SloSeries(sketches, counters));
+  ASSERT_TRUE(series.ok()) << series.status().ToString();
+  const RunReport report = BuildRunReport(*series);
+  ASSERT_EQ(report.codecs.size(), 1u);
+  EXPECT_DOUBLE_EQ(report.codecs[0].p99_encode_ns, 306009.0);
+
+  const std::string text = RenderRunReport(report);
+  EXPECT_NE(text.find("encode p50 0.0 us p99 306.0 us"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("306.0 us  [300.0 us, 310.0 us]"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("500.000 ms  [400.000 ms, 600.000 ms]"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("306009"), std::string::npos) << text;
+}
+
+TEST(MetricsDumpTest, SketchLinesPrintCountAndQuantiles) {
+  obs::MetricsSnapshot snap;
+  snap.counters.push_back({"trainer/epochs", 2.0});
+  obs::SketchHistogramSummary sketch;
+  sketch.name = "trainer/compute_latency_seconds{worker=0}";
+  sketch.count = 40;
+  sketch.p50.value = 0.0025;
+  sketch.p99.value = 0.0095;
+  snap.sketches.push_back(sketch);
+  std::ostringstream dump;
+  snap.WriteJsonl(dump);
+
+  auto text = SummarizeMetricsJsonl(dump.str());
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("  trainer/epochs: 2\n"), std::string::npos) << *text;
+  EXPECT_NE(text->find("  trainer/compute_latency_seconds{worker=0}: count "
+                       "40, p50 0.0025, p99 0.0095\n"),
+            std::string::npos)
+      << *text;
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "common/metrics_registry.h"
 #include "common/obs.h"
 #include "common/random.h"
+#include "compress/codec.h"
 #include "core/sketchml.h"
 #include "dist/trainer.h"
 #include "ml/synthetic.h"
@@ -239,6 +240,48 @@ TEST_F(SketchHistogramTest, SnapshotCarriesSketchSummaries) {
   EXPECT_EQ(s->count, 10u);
   EXPECT_DOUBLE_EQ(s->min, 0.0);
   EXPECT_DOUBLE_EQ(s->max, 9.0);
+}
+
+TEST_F(SketchHistogramTest, CodecForksShareOneLatencySketchPerCodec) {
+  // Codec latency lives on one sketch slot per codec: forks keep their
+  // worker-labeled counters but merge their latencies into the slot
+  // labeled with the codec alone, and nothing lands on a plain histogram.
+  obs::MetricsRegistry::Global().Reset();
+  auto codec = std::move(core::MakeCodec("sketchml")).value();
+  const std::string name = codec->Name();
+  common::SparseGradient grad;
+  for (uint64_t key = 0; key < 64; ++key) {
+    grad.push_back({key * 3, std::sin(static_cast<double>(key))});
+  }
+  constexpr int kMessages = 5;
+  for (uint64_t lane : {0, 1}) {
+    std::unique_ptr<compress::GradientCodec> fork = codec->Fork(lane);
+    fork->SetMetricLabel("worker", std::to_string(lane));
+    for (int i = 0; i < kMessages; ++i) {
+      compress::EncodedGradient msg;
+      ASSERT_TRUE(fork->Encode(grad, &msg).ok());
+      common::SparseGradient decoded;
+      ASSERT_TRUE(fork->Decode(msg, &decoded).ok());
+    }
+  }
+
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+  for (const char* base : {"codec/encode_ns", "codec/decode_ns"}) {
+    int slots = 0;
+    for (const auto& s : snap.sketches) {
+      slots += obs::ParseMetricName(s.name).base == base;
+    }
+    EXPECT_EQ(slots, 1) << base;
+    const obs::SketchHistogramSummary* s =
+        snap.FindSketch(obs::LabeledName(base, {{"codec", name}}));
+    ASSERT_NE(s, nullptr) << base;
+    EXPECT_EQ(s->count, 2u * kMessages) << base;
+  }
+  for (const auto& h : snap.histograms) {
+    EXPECT_NE(h.name.rfind("codec/", 0), 0u) << h.name;
+  }
+  EXPECT_DOUBLE_EQ(snap.SumCounters("codec/encode_calls", {{"worker", "1"}}),
+                   kMessages);
 }
 
 TEST_F(SketchHistogramTest, TrainingOutputBitIdenticalWithObsOnAndOff) {

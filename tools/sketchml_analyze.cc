@@ -1,26 +1,33 @@
-// sketchml_analyze: whole-project semantic analysis for SketchML.
+// sketchml_analyze: the repo's static analyzer.
 //
-// Where tools/sketchml_lint checks per-line style rules one file at a
-// time, this tool builds a project model (src/analysis/project_model.h)
-// over src/ + tools/ and runs four cross-TU passes:
+// Loads every .h/.cc under <root>/src, tests, tools and bench, and runs
+// two kinds of pass (src/analysis/passes.h):
 //
-//   layering   include graph respects the layer DAG; no include cycles
-//   wire       Serialize/SerializeTail/SaveState methods have matching
-//              readers issuing the same Write*/Read* field sequence
-//   names      metric/trace literals consumed in reports, the trace
-//              analyzer, and docs have matching registration sites
-//   replay     no wall-clock / ambient randomness reachable from the
-//              replay-critical entry points (trainer epoch loop, codec
-//              Encode/Decode, fault and membership oracles)
+//   token rules     per-file, per-line checks over all four directories,
+//                   one pass per rule id (sketchml-discarded-status,
+//                   sketchml-banned-random, sketchml-wallclock, ...);
+//                   a justified `// NOLINT(<rule>): <why>` is their only
+//                   escape hatch
+//   project passes  cross-TU checks over a model of src/ + tools/:
+//     layering      include graph respects the layer DAG; no include cycles
+//     wire          Serialize/SerializeTail/SaveState methods have matching
+//                   readers issuing the same Write*/Read* field sequence
+//     names         metric/trace literals consumed in reports, the trace
+//                   analyzer, and docs have matching registration sites
+//     replay        no wall-clock / ambient randomness reachable from the
+//                   replay-critical entry points (trainer epoch loop, codec
+//                   Encode/Decode, fault and membership oracles)
 //
 // Usage: sketchml_analyze [--root=DIR] [--pass=ID] [--baseline=FILE]
 //                         [--replay-entry=SPEC]... [--docs=DIR]
 //                         [--list-passes] [--quiet]
 //
-// Intentional findings are recorded in the baseline file (default
-// <root>/tools/analysis_baseline.txt when present): one
+// Intentional project-pass findings are recorded in the baseline file
+// (default <root>/tools/analysis_baseline.txt when present): one
 // `<pass> <key> <justification>` line each. The baseline key for every
-// finding is printed with the diagnostic. Stale entries are findings.
+// such finding is printed with the diagnostic. Stale entries are findings.
+// Nested analysis_fixtures/ trees (the golden violation corpora) are
+// skipped.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/config error.
 
@@ -37,13 +44,13 @@
 namespace {
 
 using sketchml::analysis::AnalyzeOptions;
-using sketchml::analysis::ApplyBaseline;
 using sketchml::analysis::Baseline;
 using sketchml::analysis::Finding;
-using sketchml::analysis::ParseBaseline;
+using sketchml::analysis::LoadSources;
+using sketchml::analysis::Pass;
+using sketchml::analysis::Passes;
 using sketchml::analysis::ProjectModel;
-
-const char* const kPassIds[] = {"layering", "wire", "names", "replay"};
+using sketchml::analysis::StrippedSource;
 
 int Usage() {
   std::fprintf(
@@ -74,10 +81,9 @@ int main(int argc, char** argv) {
       root = value("--root=");
     } else if (arg.rfind("--pass=", 0) == 0) {
       only_pass = value("--pass=");
-      bool known = false;
-      for (const char* id : kPassIds) known = known || only_pass == id;
-      if (!known) {
-        std::fprintf(stderr, "sketchml_analyze: unknown pass '%s'\n",
+      if (sketchml::analysis::FindPass(only_pass) == nullptr) {
+        std::fprintf(stderr,
+                     "sketchml_analyze: unknown pass '%s' (--list-passes)\n",
                      only_pass.c_str());
         return 2;
       }
@@ -90,7 +96,9 @@ int main(int argc, char** argv) {
       options.docs_dir = value("--docs=");
       docs_explicit = true;
     } else if (arg == "--list-passes") {
-      for (const char* id : kPassIds) std::printf("%s\n", id);
+      for (const Pass& pass : Passes()) {
+        std::printf("%s\n", pass.id.c_str());
+      }
       return 0;
     } else if (arg == "--quiet") {
       quiet = true;
@@ -128,66 +136,61 @@ int main(int argc, char** argv) {
     std::ostringstream buf;
     buf << in.rdbuf();
     std::string error;
-    if (!ParseBaseline(buf.str(), &baseline, &error)) {
+    if (!sketchml::analysis::ParseBaseline(buf.str(), &baseline, &error)) {
       std::fprintf(stderr, "sketchml_analyze: %s\n", error.c_str());
       return 2;
     }
   }
 
-  ProjectModel model;
+  std::vector<StrippedSource> sources;
   std::string error;
-  if (!sketchml::analysis::LoadProjectTree(root, {"src", "tools"}, &model,
-                                           &error)) {
+  if (!LoadSources(root, {"bench", "src", "tests", "tools"}, &sources,
+                   &error)) {
     std::fprintf(stderr, "sketchml_analyze: %s\n", error.c_str());
     return 2;
   }
-  if (model.files.empty()) {
+  if (sources.empty()) {
     std::fprintf(stderr, "sketchml_analyze: no sources under '%s'\n",
                  root.c_str());
     return 2;
   }
+  // The project passes model src/ + tools/ only: the test stub codecs
+  // would otherwise shadow the replay pass's EncodeImpl entry points.
+  ProjectModel model;
+  for (const StrippedSource& src : sources) {
+    if (src.rel.rfind("src/", 0) == 0 || src.rel.rfind("tools/", 0) == 0) {
+      sketchml::analysis::AddFileToModel(src, &model);
+    }
+  }
 
   std::vector<Finding> findings;
   std::vector<std::string> passes_run;
-  const auto want = [&](const char* id) {
-    return only_pass.empty() || only_pass == id;
-  };
-  if (want("layering")) {
-    passes_run.push_back("layering");
-    for (Finding& f : sketchml::analysis::RunLayeringPass(model)) {
-      findings.push_back(std::move(f));
-    }
-  }
-  if (want("wire")) {
-    passes_run.push_back("wire");
-    for (Finding& f : sketchml::analysis::RunWirePass(model)) {
-      findings.push_back(std::move(f));
-    }
-  }
-  if (want("names")) {
-    passes_run.push_back("names");
-    for (Finding& f : sketchml::analysis::RunNamesPass(model, options)) {
-      findings.push_back(std::move(f));
-    }
-  }
-  if (want("replay")) {
-    passes_run.push_back("replay");
-    for (Finding& f : sketchml::analysis::RunReplayPass(model, options)) {
-      findings.push_back(std::move(f));
+  for (const Pass& pass : Passes()) {
+    if (!only_pass.empty() && pass.id != only_pass) continue;
+    passes_run.push_back(pass.id);
+    if (pass.run_project != nullptr) {
+      for (Finding& f : pass.run_project(model, options)) {
+        findings.push_back(std::move(f));
+      }
+    } else {
+      for (const StrippedSource& src : sources) pass.run_file(src, &findings);
     }
   }
 
-  findings = ApplyBaseline(std::move(findings), baseline, passes_run);
+  findings = sketchml::analysis::ApplyBaseline(std::move(findings), baseline,
+                                               passes_run);
   for (const Finding& f : findings) {
     const std::string where =
         f.file.empty() ? "(project)"
                        : f.file + ":" + std::to_string(f.line);
-    std::printf("%s: [%s] %s (baseline key: %s)\n", where.c_str(),
-                f.pass.c_str(), f.message.c_str(), f.key.c_str());
+    std::printf("%s: [%s] %s", where.c_str(), f.pass.c_str(),
+                f.message.c_str());
+    if (!f.key.empty()) std::printf(" (baseline key: %s)", f.key.c_str());
+    std::printf("\n");
   }
   if (!quiet) {
     std::fprintf(stderr, "sketchml_analyze: %zu file(s), %zu finding(s)\n",
-                 model.files.size(), findings.size());
+                 sources.size(), findings.size());
   }
   return findings.empty() ? 0 : 1;
 }

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "common/flags.h"
-#include "common/metrics_registry.h"
 #include "common/obs_flags.h"
 #include "common/simd.h"
 #include "core/sketchml.h"
@@ -318,14 +317,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(total.reconfigurations),
                 static_cast<unsigned long long>(total.rollbacks),
                 trainer.active_workers());
-  }
-
-  if (obs_config->metrics) {
-    const std::string latency = dist::LatencyQuantileSummary(
-        obs::MetricsRegistry::Global().Snapshot());
-    if (!latency.empty()) {
-      std::printf("latency quantiles:\n%s", latency.c_str());
-    }
   }
 
   if (*sampler != nullptr) {
