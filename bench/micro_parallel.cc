@@ -26,8 +26,19 @@ using namespace sketchml;
 struct Sample {
   int threads = 1;
   double wall_seconds = 0.0;
+  // The simulation itself, which must not depend on the thread count.
   uint64_t bytes_up = 0;
+  uint64_t bytes_down = 0;
+  uint64_t messages = 0;
+  double network_seconds = 0.0;  // Modeled.
   double train_loss = 0.0;
+
+  bool SameSimulation(const Sample& other) const {
+    return bytes_up == other.bytes_up && bytes_down == other.bytes_down &&
+           messages == other.messages &&
+           network_seconds == other.network_seconds &&
+           train_loss == other.train_loss;
+  }
 };
 
 }  // namespace
@@ -67,6 +78,9 @@ int main(int argc, char** argv) {
     sample.wall_seconds = watch.ElapsedSeconds();
     for (const auto& s : stats) {
       sample.bytes_up += s.bytes_up;
+      sample.bytes_down += s.bytes_down;
+      sample.messages += s.messages;
+      sample.network_seconds += s.network_seconds;
       sample.train_loss = s.train_loss;
     }
     samples.push_back(sample);
@@ -75,11 +89,11 @@ int main(int argc, char** argv) {
   }
   bench::Rule();
 
-  // Every thread count must replay the identical simulation.
+  // Every thread count must replay the identical simulation, broadcast
+  // included.
   bool deterministic = true;
   for (const auto& sample : samples) {
-    deterministic = deterministic && sample.bytes_up == samples[0].bytes_up &&
-                    sample.train_loss == samples[0].train_loss;
+    deterministic = deterministic && sample.SameSimulation(samples[0]);
   }
   std::printf("deterministic across thread counts: %s\n",
               deterministic ? "yes" : "NO — BUG");

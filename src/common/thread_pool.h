@@ -56,6 +56,47 @@ struct PoolObs {
   static PoolObs Labeled(std::string_view pool_name);
 };
 
+/// Builds an unscheduled task node running `fn`, and the future of its
+/// result. The node's wrapper records queue wait, run time and the task
+/// count into `pool_obs` only when the node carries an enqueue timestamp
+/// (a pool task submitted while metrics were on).
+template <typename F, typename T>
+std::pair<std::shared_ptr<TaskNode>, std::future<T>> MakeTaskNode(
+    F&& fn, PoolObs pool_obs) {
+  auto node = std::make_shared<TaskNode>();
+  auto promise = std::make_shared<std::promise<T>>();
+  std::future<T> future = promise->get_future();
+  // Raw pointer: capturing the shared_ptr would cycle node -> run -> node.
+  TaskNode* raw_node = node.get();
+  // The handles (4 ints) are copied into the task: a claimed task may run
+  // inline via TaskFuture::Get after the pool itself is gone.
+  node->run = [fn = std::forward<F>(fn), promise, raw_node,
+               pool_obs = std::move(pool_obs)]() mutable {
+    const bool instrumented = raw_node->enqueue_ns != 0;
+    uint64_t start_ns = 0;
+    if (instrumented) {
+      start_ns = obs::NowNs();
+      pool_obs.task_wait_ns.Record(
+          static_cast<double>(start_ns - raw_node->enqueue_ns));
+    }
+    try {
+      if constexpr (std::is_void_v<T>) {
+        fn();
+        promise->set_value();
+      } else {
+        promise->set_value(fn());
+      }
+    } catch (...) {
+      promise->set_exception(std::current_exception());
+    }
+    if (instrumented) {
+      pool_obs.task_run_ns.Record(static_cast<double>(obs::NowNs() - start_ns));
+      pool_obs.tasks.Increment();
+    }
+  };
+  return {std::move(node), std::move(future)};
+}
+
 }  // namespace internal
 
 /// Handle to a submitted task. `Get()` returns the task's result,
@@ -66,12 +107,29 @@ struct PoolObs {
 /// a task running on a pool thread may submit subtasks to the same pool
 /// and `Get()` them without risking deadlock, because waiting degrades to
 /// running.
+///
+/// A future that still owns its task joins it on destruction, like
+/// `std::async`'s: it claims and runs the task if no worker started it,
+/// else waits for it, and discards the result or exception. So a caller
+/// that leaves early can never leave a task running against captures it
+/// is about to free.
 template <typename T>
 class TaskFuture {
  public:
   TaskFuture() = default;
   TaskFuture(std::shared_ptr<internal::TaskNode> node, std::future<T> future)
       : node_(std::move(node)), future_(std::move(future)) {}
+  ~TaskFuture() { Join(); }
+
+  TaskFuture(TaskFuture&&) noexcept = default;
+  TaskFuture& operator=(TaskFuture&& other) noexcept {
+    if (this != &other) {
+      Join();
+      node_ = std::move(other.node_);
+      future_ = std::move(other.future_);
+    }
+    return *this;
+  }
 
   bool valid() const { return future_.valid(); }
 
@@ -83,9 +141,26 @@ class TaskFuture {
   }
 
  private:
+  void Join() noexcept {
+    if (!future_.valid()) return;
+    if (node_ != nullptr && node_->TryClaim()) node_->run();
+    future_.wait();
+  }
+
   std::shared_ptr<internal::TaskNode> node_;
   std::future<T> future_;
 };
+
+/// The never-enqueued form, for callers without a pool: `fn` runs on the
+/// thread that calls `Get()` (or destroys the future), as a pool task does
+/// when `Get()` reclaims it before any worker starts it. Records no pool
+/// metrics.
+template <typename F, typename T = std::invoke_result_t<std::decay_t<F>>>
+TaskFuture<T> Deferred(F&& fn) {
+  auto [node, future] =
+      internal::MakeTaskNode<F, T>(std::forward<F>(fn), internal::PoolObs{});
+  return TaskFuture<T>(std::move(node), std::move(future));
+}
 
 /// Fixed-size thread pool with future-returning submission and exception
 /// propagation. Tasks start in FIFO order. Used by the distributed-
@@ -119,39 +194,9 @@ class ThreadPool {
   /// invocable with no arguments.
   template <typename F, typename T = std::invoke_result_t<std::decay_t<F>>>
   TaskFuture<T> Submit(F&& fn) {
-    auto node = std::make_shared<internal::TaskNode>();
-    auto promise = std::make_shared<std::promise<T>>();
-    std::future<T> future = promise->get_future();
+    auto [node, future] =
+        internal::MakeTaskNode<F, T>(std::forward<F>(fn), obs_);
     if (obs::MetricsEnabled()) node->enqueue_ns = obs::NowNs();
-    // Raw pointer: capturing the shared_ptr would cycle node -> run -> node.
-    internal::TaskNode* raw_node = node.get();
-    // Copy the handles (4 ints) into the task: a claimed task may run
-    // inline via TaskFuture::Get after the pool itself is gone.
-    node->run = [fn = std::forward<F>(fn), promise, raw_node,
-                 pool_obs = obs_]() mutable {
-      const bool instrumented = raw_node->enqueue_ns != 0;
-      uint64_t start_ns = 0;
-      if (instrumented) {
-        start_ns = obs::NowNs();
-        pool_obs.task_wait_ns.Record(
-            static_cast<double>(start_ns - raw_node->enqueue_ns));
-      }
-      try {
-        if constexpr (std::is_void_v<T>) {
-          fn();
-          promise->set_value();
-        } else {
-          promise->set_value(fn());
-        }
-      } catch (...) {
-        promise->set_exception(std::current_exception());
-      }
-      if (instrumented) {
-        pool_obs.task_run_ns.Record(
-            static_cast<double>(obs::NowNs() - start_ns));
-        pool_obs.tasks.Increment();
-      }
-    };
     Enqueue(node);
     return TaskFuture<T>(std::move(node), std::move(future));
   }

@@ -309,6 +309,10 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
 
   common::Stopwatch watch;
   std::vector<double> shard_gather_seconds(servers);
+  // The previous batch's broadcast, overlapping this batch's workers. Every
+  // return below destroys it, which joins the task before the trainer
+  // state it reads (the driver codec lane) can change.
+  PendingBroadcast broadcast;
   for (size_t batch_start = 0; batch_start < n; batch_start += batch_size) {
     const size_t batch_end = std::min(n, batch_start + batch_size);
     const size_t batch_count = batch_end - batch_start;
@@ -321,6 +325,10 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
     if (membership_active_) {
       std::vector<MembershipEvent> events;
       directory_.ApplyBatch(batches_run_, &events);
+      // Events add to network_seconds, after the previous broadcast.
+      if (!events.empty()) {
+        SKETCHML_RETURN_IF_ERROR(FoldBroadcast(&broadcast, &stats));
+      }
       for (const MembershipEvent& event : events) {
         ApplyMembershipEvent(event, &stats);
       }
@@ -571,6 +579,10 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
         results[i] = run_worker(ids[i], ranges[i].first, ranges[i].second);
       }
     }
+    // Join the previous batch's broadcast before this batch's results
+    // reach the stats: its modeled seconds precede this gather's, and its
+    // error fails the epoch with these results unapplied.
+    SKETCHML_RETURN_IF_ERROR(FoldBroadcast(&broadcast, &stats));
 
     // Reduce in fixed worker order so every accumulated stat is
     // independent of execution interleaving. Per-entity counters are
@@ -752,9 +764,18 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
       // free, contributing == active_workers and this is the usual mean.
       const double inv_workers = 1.0 / static_cast<double>(contributing);
       mean_grad.reserve(aggregate_.touched());
+      // A decoded inf/NaN would poison the weights (Adam turns inf into
+      // NaN); the drain still runs to the end so the accumulator is clean.
+      std::optional<uint64_t> non_finite_key;
       aggregate_.Drain([&](uint64_t key, double sum) {
+        if (!std::isfinite(sum) && !non_finite_key) non_finite_key = key;
         mean_grad.push_back({key, sum * inv_workers});
       });
+      if (non_finite_key) {
+        return common::Status::CorruptedData(
+            "aggregate for key " + std::to_string(*non_finite_key) +
+            " is not finite at batch " + std::to_string(gbatch));
+      }
     }
     {
       obs::TraceSpan update_span("trainer", "update");
@@ -770,79 +791,14 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
     // serial, so the sketches are a pure function of the update stream.
     if (membership_active_) UpdateShardState(mean_grad);
 
-    // Phase 4: broadcast the aggregated update, re-encoded with the same
-    // codec. With sharding each server broadcasts its key range; shards
-    // broadcast in parallel so the slowest bounds the phase.
-    double slowest_broadcast = 0.0;
-    double driver_encode_seconds = 0.0, driver_decode_seconds = 0.0;
-    uint64_t batch_bytes_down = 0;
-    {
-      obs::TraceSpan broadcast_span("trainer", "broadcast");
-      const std::vector<common::SparseGradient> update_shards =
-          SplitByShard(std::move(mean_grad));
-      for (int s = 0; s < servers; ++s) {
-        if (update_shards[s].empty()) continue;
-        watch.Restart();
-        compress::EncodedGradient update_msg;
-        SKETCHML_RETURN_IF_ERROR(
-            codec_->Encode(update_shards[s], &update_msg));
-        const double broadcast_encode = watch.Restart() / servers;
-        encode_sum += broadcast_encode;
-        driver_encode_seconds += broadcast_encode;
-
-        stats.bytes_down +=
-            static_cast<uint64_t>(update_msg.size()) * active_workers;
-        batch_bytes_down +=
-            static_cast<uint64_t>(update_msg.size()) * active_workers;
-        // Spark-style torrent broadcast: the server emits the update once
-        // and executors propagate copies peer-to-peer in parallel, so the
-        // critical path is ~2 link traversals regardless of W (the gather
-        // path above, by contrast, really does serialize W messages
-        // through each server's NIC).
-        slowest_broadcast = std::max(
-            slowest_broadcast,
-            2.0 * cluster_.network.TransferSeconds(update_msg.size()));
-
-        watch.Restart();
-        common::SparseGradient worker_copy;
-        SKETCHML_RETURN_IF_ERROR(codec_->Decode(update_msg, &worker_copy));
-        const double broadcast_decode = watch.Restart();
-        decode_sum += broadcast_decode;  // One decode: workers parallel.
-        driver_decode_seconds += broadcast_decode;
-      }
-    }
-    stats.network_seconds += slowest_broadcast;
-    if (metrics_.enabled) {
-      // The broadcast encode/decode run on the driver; charge them with
-      // the same factors the aggregate stats apply below so
-      //   encode = Σ worker{encode} + driver{encode}   (and likewise
-      // decode over server + driver slices) reconciles exactly.
-      if (driver_encode_seconds > 0.0) {
-        metrics_.driver_encode.Add(driver_encode_seconds / active_workers *
-                                   cluster_.codec_scale);
-      }
-      if (driver_decode_seconds > 0.0) {
-        metrics_.driver_decode.Add(driver_decode_seconds *
-                                   cluster_.codec_scale);
-      }
-      if (slowest_broadcast > 0.0) {
-        metrics_.driver_network.Add(slowest_broadcast);
-      }
-    }
-    if (obs::TracingEnabled() && slowest_broadcast > 0.0) {
-      // Modeled torrent-broadcast time, same convention as "gather".
-      obs::EmitSpan("network", "broadcast", obs::NowNs(),
-                    static_cast<uint64_t>(slowest_broadcast * 1e9),
-                    {{"bytes", static_cast<double>(batch_bytes_down)}});
-    }
-
-    // Workers compute/encode in parallel: charge the mean per worker.
+    // Workers compute in parallel: charge the mean per worker.
     stats.compute_seconds +=
         compute_sum / active_workers * cluster_.compute_scale;
-    stats.encode_seconds +=
-        encode_sum / active_workers * cluster_.codec_scale;
-    stats.decode_seconds += decode_sum * cluster_.codec_scale;
     ++stats.num_batches;
+    // Phase 4: broadcast the applied update while the next batch's workers
+    // run; its fold charges the batch's encode/decode seconds.
+    broadcast = LaunchBroadcast(std::move(mean_grad), active_workers,
+                                encode_sum, decode_sum);
     // Global batch index: the injector keys every decision on it, so the
     // fault sequence is a function of (plan seed, lifetime batch number)
     // and replays identically across epochs and thread counts.
@@ -858,6 +814,9 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
     stats.test_loss =
         ml::ComputeMeanLoss(*loss_, optimizer_->weights(), *test_, 0.0);
   }
+  // The last broadcast overlapped the loss evaluation, which only reads
+  // the weights.
+  SKETCHML_RETURN_IF_ERROR(FoldBroadcast(&broadcast, &stats));
   simulated_seconds_ += stats.TotalSeconds();
 
   // Epoch-boundary cross-node telemetry aggregation: serialize each
@@ -901,6 +860,95 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
 
   PublishEpochStats(stats);
   return stats;
+}
+
+DistributedTrainer::PendingBroadcast DistributedTrainer::LaunchBroadcast(
+    common::SparseGradient update, int active_workers,
+    double worker_encode_seconds, double worker_decode_seconds) {
+  PendingBroadcast pending;
+  pending.active_workers = active_workers;
+  pending.worker_encode_seconds = worker_encode_seconds;
+  pending.worker_decode_seconds = worker_decode_seconds;
+  // Re-encode the update with the same codec. With sharding each server
+  // broadcasts its key range; shards broadcast in parallel so the slowest
+  // bounds the phase. The task adopts the launching context (the batch
+  // span when sampled, else the epoch span), as the serial loop's spans
+  // had it for a parent.
+  auto task = [this, update = std::move(update), active_workers,
+               ctx = obs::CurrentSpanContext()]() mutable {
+    obs::TraceContextScope scope(ctx);
+    const int servers = cluster_.num_servers;
+    BroadcastResult r;
+    {
+      obs::TraceSpan broadcast_span("trainer", "broadcast");
+      const std::vector<common::SparseGradient> shards =
+          SplitByShard(std::move(update));
+      common::Stopwatch watch;
+      for (int s = 0; s < servers; ++s) {
+        if (shards[s].empty()) continue;
+        watch.Restart();
+        compress::EncodedGradient msg;
+        r.status = codec_->Encode(shards[s], &msg);
+        if (!r.status.ok()) return r;
+        r.encode_seconds += watch.Restart() / servers;
+        r.bytes_down += static_cast<uint64_t>(msg.size()) * active_workers;
+        // Spark-style torrent broadcast: the server emits the update once
+        // and executors propagate copies peer-to-peer in parallel, so the
+        // critical path is ~2 link traversals regardless of W (the gather
+        // path, by contrast, really does serialize W messages through each
+        // server's NIC).
+        r.network_seconds =
+            std::max(r.network_seconds,
+                     2.0 * cluster_.network.TransferSeconds(msg.size()));
+        watch.Restart();
+        common::SparseGradient worker_copy;
+        r.status = codec_->Decode(msg, &worker_copy);
+        if (!r.status.ok()) return r;
+        r.decode_seconds += watch.Restart();  // One decode: workers parallel.
+      }
+    }
+    if (obs::TracingEnabled() && r.network_seconds > 0.0) {
+      // Modeled torrent-broadcast time, same convention as "gather".
+      obs::EmitSpan("network", "broadcast", obs::NowNs(),
+                    static_cast<uint64_t>(r.network_seconds * 1e9),
+                    {{"bytes", static_cast<double>(r.bytes_down)}});
+    }
+    return r;
+  };
+  pending.task = pool_ != nullptr ? pool_->Submit(std::move(task))
+                                  : common::Deferred(std::move(task));
+  return pending;
+}
+
+common::Status DistributedTrainer::FoldBroadcast(PendingBroadcast* pending,
+                                                 EpochStats* stats) {
+  if (!pending->task.valid()) return common::Status::Ok();
+  const BroadcastResult r = pending->task.Get();
+  SKETCHML_RETURN_IF_ERROR(r.status);
+  stats->bytes_down += r.bytes_down;
+  stats->network_seconds += r.network_seconds;
+  if (metrics_.enabled) {
+    // The broadcast encode/decode run on the driver lane; charge them with
+    // the same factors as the stats below so
+    //   encode = Σ worker{encode} + driver{encode}   (and likewise
+    // decode over server + driver slices) reconciles exactly.
+    if (r.encode_seconds > 0.0) {
+      metrics_.driver_encode.Add(r.encode_seconds / pending->active_workers *
+                                 cluster_.codec_scale);
+    }
+    if (r.decode_seconds > 0.0) {
+      metrics_.driver_decode.Add(r.decode_seconds * cluster_.codec_scale);
+    }
+    if (r.network_seconds > 0.0) metrics_.driver_network.Add(r.network_seconds);
+  }
+  // Workers encode in parallel: charge the mean per worker.
+  stats->encode_seconds +=
+      (pending->worker_encode_seconds + r.encode_seconds) /
+      pending->active_workers * cluster_.codec_scale;
+  stats->decode_seconds +=
+      (pending->worker_decode_seconds + r.decode_seconds) *
+      cluster_.codec_scale;
+  return common::Status::Ok();
 }
 
 common::Result<EpochStats> DistributedTrainer::RunEpoch() {

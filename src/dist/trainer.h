@@ -124,11 +124,25 @@ struct TrainerConfig {
 ///   3. the driver decodes W messages (measured, serial), averages them,
 ///      and feeds the aggregate to the optimizer (Adam by default);
 ///   4. the driver broadcasts the updated-weights delta, re-encoded with
-///      the same codec, to W executors (modeled).
+///      the same codec, to W executors (modeled). The weights are already
+///      updated, so this phase only produces accounting: it runs as one
+///      pool task (inline at its join without a pool) that overlaps the
+///      next batch's executors, and the driver folds its bytes, modeled
+///      and measured seconds and metrics into the epoch's stats at a
+///      join. The join comes before anything that must follow it in the
+///      serial order: the next batch's membership events and gather
+///      fold, the next broadcast, the checkpoint, and every return. So
+///      bytes, modeled seconds and losses are those of the serial loop.
 ///
 /// Lossy codecs therefore distort what the optimizer sees exactly once,
 /// matching the paper's architecture where compression sits on the
 /// gradient aggregation path.
+///
+/// Error contract of the pipelined broadcast: an `Encode`/`Decode` error
+/// on the driver lane becomes the epoch's status at the broadcast's join.
+/// The weights then include that batch's update, as in the serial loop,
+/// and the next batch's executor results, computed concurrently, are
+/// discarded unapplied.
 class DistributedTrainer {
  public:
   /// `codec` may be null for a no-compression (raw double) baseline.
@@ -189,6 +203,38 @@ class DistributedTrainer {
   /// One epoch, no rollback handling (RunEpoch wraps this with the
   /// checkpoint-based retry loop).
   common::Result<EpochStats> RunEpochAttempt();
+
+  /// What one batch's broadcast (step 4) produced.
+  struct BroadcastResult {
+    common::Status status;
+    uint64_t bytes_down = 0;
+    double network_seconds = 0.0;  // Modeled: the slowest shard's torrent.
+    double encode_seconds = 0.0;   // Measured, charged / servers.
+    double decode_seconds = 0.0;   // Measured.
+  };
+
+  /// A launched broadcast plus the batch's worker-side codec seconds,
+  /// which its fold charges together with the broadcast's own. Invalid
+  /// `task` = nothing pending. Destroying it joins the task.
+  struct PendingBroadcast {
+    common::TaskFuture<BroadcastResult> task;
+    int active_workers = 0;
+    double worker_encode_seconds = 0.0;
+    double worker_decode_seconds = 0.0;
+  };
+
+  /// Launches step 4 for an applied batch update: one pool task (or, with
+  /// no pool, a task that runs at its join) that owns the update's shards
+  /// and runs under the trace context current at launch.
+  PendingBroadcast LaunchBroadcast(common::SparseGradient update,
+                                   int active_workers,
+                                   double worker_encode_seconds,
+                                   double worker_decode_seconds);
+
+  /// Joins a pending broadcast (no-op when none is pending) and folds its
+  /// bytes, seconds and driver_seconds metrics into `stats`; returns the
+  /// broadcast's codec error, if any.
+  common::Status FoldBroadcast(PendingBroadcast* pending, EpochStats* stats);
 
   /// Serializes trainer state into the (unframed) checkpoint payload.
   void BuildCheckpointPayload(std::vector<uint8_t>* payload) const;

@@ -16,6 +16,32 @@ namespace {
 // Per-level capacity decay; 2/3 is the published KLL constant.
 constexpr double kLevelDecay = 2.0 / 3.0;
 constexpr size_t kMinLevelCapacity = 8;
+
+void CountUpdates(uint64_t n) {
+  static const obs::Counter updates =
+      obs::MetricsRegistry::Global().GetCounter("sketch/kll/updates");
+  updates.Add(static_cast<double>(n));
+}
+
+/// Merges `count` ascending items, `stride` apart from `src`, into the
+/// sorted `dst`, back to front: `dst` grows once and no item moves twice.
+/// Ties keep `dst`'s items first.
+void MergeSorted(const double* src, size_t count, size_t stride,
+                 std::vector<double>* dst) {
+  size_t kept = dst->size();
+  size_t out = kept + count;
+  dst->resize(out);
+  double* d = dst->data();
+  while (count > 0) {
+    const double item = src[(count - 1) * stride];
+    if (kept > 0 && d[kept - 1] > item) {
+      d[--out] = d[--kept];
+    } else {
+      d[--out] = item;
+      --count;
+    }
+  }
+}
 }  // namespace
 
 KllSketch::KllSketch(int k, uint64_t seed) : k_(k), rng_(seed) {
@@ -47,21 +73,46 @@ void KllSketch::Update(double value) {
     max_ = std::max(max_, value);
   }
   ++count_;
-  if (instrumented_ && obs::MetricsEnabled()) {
-    static const obs::Counter updates =
-        obs::MetricsRegistry::Global().GetCounter("sketch/kll/updates");
-    updates.Increment();
-  }
+  if (instrumented_ && obs::MetricsEnabled()) CountUpdates(1);
   levels_[0].push_back(value);
-  if (levels_[0].size() >= LevelCapacity(0)) {
-    // Compact cascading upward while levels overflow.
-    for (int level = 0; level < static_cast<int>(levels_.size()); ++level) {
-      if (levels_[level].size() >= LevelCapacity(level)) {
-        Compact(level);
-      }
-    }
+  if (levels_[0].size() >= LevelCapacity(0)) CompactFullLevels(0);
+  SKETCHML_DCHECK(InvariantsHold());
+}
+
+void KllSketch::UpdateAll(const std::vector<double>& values) {
+  const size_t n = values.size();
+  if (n == 0) return;
+  // The min/max fold of the per-item loop, in input order.
+  size_t i = 0;
+  if (count_ == 0) min_ = max_ = values[i++];
+  for (; i < n; ++i) {
+    min_ = std::min(min_, values[i]);
+    max_ = std::max(max_, values[i]);
+  }
+  count_ += n;
+  if (instrumented_ && obs::MetricsEnabled()) CountUpdates(n);
+  // Fill level 0 up to capacity, then run the cascade the per-item loop
+  // runs on the item that fills it. A level 0 already past capacity (a
+  // capacity refresh can shrink it) takes one item, as Update would.
+  for (size_t next = 0; next < n;) {
+    std::vector<double>& level0 = levels_[0];
+    const size_t capacity = LevelCapacity(0);
+    const size_t room =
+        level0.size() < capacity ? capacity - level0.size() : 1;
+    const size_t take = std::min(room, n - next);
+    level0.insert(level0.end(), values.begin() + next,
+                  values.begin() + next + take);
+    next += take;
+    if (level0.size() >= capacity) CompactFullLevels(0);
   }
   SKETCHML_DCHECK(InvariantsHold());
+}
+
+void KllSketch::CompactFullLevels(int first) {
+  // Cascades upward while levels overflow; a compaction may add a level.
+  for (int level = first; level < static_cast<int>(levels_.size()); ++level) {
+    if (levels_[level].size() >= LevelCapacity(level)) Compact(level);
+  }
 }
 
 bool KllSketch::InvariantsHold() const {
@@ -70,6 +121,11 @@ bool KllSketch::InvariantsHold() const {
     weight += static_cast<uint64_t>(levels_[level].size()) << level;
   }
   if (weight != count_) return false;  // Compaction lost or forged items.
+  for (size_t level = 1; level < levels_.size(); ++level) {
+    if (!std::is_sorted(levels_[level].begin(), levels_[level].end())) {
+      return false;
+    }
+  }
   return count_ == 0 || min_ <= max_;
 }
 
@@ -87,20 +143,17 @@ void KllSketch::Compact(int level) {
     RefreshCapacities();
   }
   auto& buf = levels_[level];
-  auto& next = levels_[level + 1];
-  std::sort(buf.begin(), buf.end());
-  // Random phase: keep either the even- or odd-indexed half.
+  if (level == 0) std::sort(buf.begin(), buf.end());
+  // Random phase: promote either the even- or odd-indexed half.
   const size_t phase = rng_.NextBounded(2);
-  // If the buffer has odd size, one item stays behind at this level so
-  // total weight is conserved. Shrink in place rather than swapping in a
-  // fresh vector: this runs every few inserts at level 0, and keeping the
-  // buffer's capacity keeps the hot path allocation-free.
+  // If the buffer has odd size, its largest item stays behind at this
+  // level so total weight is conserved. Shrink in place rather than
+  // swapping in a fresh vector: this runs every few inserts at level 0,
+  // and keeping the buffer's capacity keeps the hot path allocation-free.
   size_t n = buf.size();
   const bool odd = (n % 2 == 1);
   if (odd) --n;
-  for (size_t i = phase; i < n; i += 2) {
-    next.push_back(buf[i]);
-  }
+  MergeSorted(buf.data() + phase, n / 2, 2, &levels_[level + 1]);
   if (odd) buf[0] = buf[n];
   buf.resize(odd ? 1 : 0);
 }
@@ -212,15 +265,14 @@ void KllSketch::Merge(const KllSketch& other) {
     levels_.resize(other.levels_.size());
     RefreshCapacities();
   }
-  for (size_t level = 0; level < other.levels_.size(); ++level) {
-    auto& dst = levels_[level];
+  levels_[0].insert(levels_[0].end(), other.levels_[0].begin(),
+                    other.levels_[0].end());
+  for (size_t level = 1; level < other.levels_.size(); ++level) {
     const auto& src = other.levels_[level];
-    dst.insert(dst.end(), src.begin(), src.end());
+    MergeSorted(src.data(), src.size(), 1, &levels_[level]);
   }
   // Restore capacity invariants.
-  for (int level = 0; level < static_cast<int>(levels_.size()); ++level) {
-    if (levels_[level].size() >= LevelCapacity(level)) Compact(level);
-  }
+  CompactFullLevels(0);
   if (instrumented) {
     auto& registry = obs::MetricsRegistry::Global();
     static const obs::Counter merges = registry.GetCounter("sketch/kll/merges");
@@ -253,13 +305,11 @@ void KllSketch::UpdateWeighted(double value, uint64_t weight) {
     levels_.resize(target + 1);
     RefreshCapacities();
   }
-  levels_[target].push_back(value);
-  if (levels_[target].size() >= LevelCapacity(target)) {
-    for (int level = target; level < static_cast<int>(levels_.size());
-         ++level) {
-      if (levels_[level].size() >= LevelCapacity(level)) Compact(level);
-    }
-  }
+  auto& dst = levels_[target];
+  dst.insert(target == 0 ? dst.end()
+                         : std::upper_bound(dst.begin(), dst.end(), value),
+             value);
+  if (dst.size() >= LevelCapacity(target)) CompactFullLevels(target);
   SKETCHML_DCHECK(InvariantsHold());
 }
 
@@ -322,7 +372,14 @@ common::Status KllSketch::Deserialize(common::ByteReader* reader,
     buf.resize(n);
     for (uint64_t i = 0; i < n; ++i) {
       SKETCHML_RETURN_IF_ERROR(reader->ReadDouble(&buf[i]));
+      // NaN has no order: sorting it is undefined.
+      if (std::isnan(buf[i])) {
+        return common::Status::CorruptedData("KLL item is NaN");
+      }
     }
+    // Blobs written before levels >= 1 were kept sorted hold
+    // concatenated runs there.
+    if (level > 0) std::sort(buf.begin(), buf.end());
     weight += n << level;
   }
   if (weight != count) {

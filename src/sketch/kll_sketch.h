@@ -22,6 +22,13 @@ namespace sketchml::sketch {
 /// quantile queries with ~1 % rank error at better-than-99 % confidence,
 /// matching the "99 % correctness when m = 256" claim quoted in §2.3.
 ///
+/// Levels >= 1 stay sorted: a compaction sorts only level 0 and merges
+/// its promoted half into the next level in place. The summary is the one
+/// a sort at every compaction would build, except that +0.0 and -0.0
+/// compare equal, so their order within a level (and hence which of the
+/// two a query returns) may differ. NaN has no order and is not
+/// supported; `Deserialize` rejects it.
+///
 /// Supports `Merge`, which the distributed driver uses to combine
 /// per-worker sketches.
 class KllSketch : public QuantileSketch {
@@ -31,6 +38,9 @@ class KllSketch : public QuantileSketch {
   explicit KllSketch(int k = 256, uint64_t seed = 1);
 
   void Update(double value) override;
+  /// Copies `values` into level 0 a block at a time, up to its capacity,
+  /// running the same compactions as the per-item loop.
+  void UpdateAll(const std::vector<double>& values) override;
   uint64_t Count() const override { return count_; }
   double Quantile(double q) const override;
   double Min() const override;
@@ -104,9 +114,9 @@ class KllSketch : public QuantileSketch {
 
   /// Compactor weight conservation: Σ_level |level| · 2^level == Count()
   /// (a compaction promotes exactly half a level's items with doubled
-  /// weight, so total weight is invariant), plus Min() <= Max() on
-  /// non-empty sketches. Exercised via SKETCHML_DCHECK after
-  /// update/merge in checked builds.
+  /// weight, so total weight is invariant), levels >= 1 sorted, plus
+  /// Min() <= Max() on non-empty sketches. Exercised via SKETCHML_DCHECK
+  /// after update/merge in checked builds.
   bool InvariantsHold() const;
 
  private:
@@ -119,8 +129,12 @@ class KllSketch : public QuantileSketch {
   /// Recomputes `capacities_` for the current level count.
   void RefreshCapacities();
 
-  /// Sorts and compacts `level`, promoting half its items.
+  /// Compacts `level` (sorting it first if it is level 0), merging half
+  /// its items into the next level.
   void Compact(int level);
+
+  /// Compacts every level from `first` up that is at capacity.
+  void CompactFullLevels(int first);
 
   /// Gathers all retained (value, weight) pairs sorted by value.
   std::vector<std::pair<double, uint64_t>> SortedItems() const;
@@ -131,7 +145,8 @@ class KllSketch : public QuantileSketch {
   double min_ = 0.0;
   double max_ = 0.0;
   common::Rng rng_;
-  // levels_[i] holds items of weight 2^i; level 0 is unsorted.
+  // levels_[i] holds items of weight 2^i; level 0 is unsorted, the others
+  // sorted.
   std::vector<std::vector<double>> levels_;
   std::vector<size_t> capacities_;  // capacities_[i] = capacity of level i.
 };

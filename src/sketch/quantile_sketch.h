@@ -31,8 +31,10 @@ class QuantileSketch {
   virtual double Min() const = 0;
   virtual double Max() const = 0;
 
-  /// Convenience: inserts every element of `values`.
-  void UpdateAll(const std::vector<double>& values);
+  /// Inserts every element of `values`, in order. Virtual so a sketch can
+  /// insert in blocks; overrides must leave exactly the state the per-item
+  /// `Update` loop (the default) would.
+  virtual void UpdateAll(const std::vector<double>& values);
 
   /// Returns the `q+1` split points {Quantile(0), Quantile(1/q), ...,
   /// Quantile(1)} used by quantile-bucket quantification (§3.2 step 1).

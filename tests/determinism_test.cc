@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,8 +96,9 @@ TEST(DeterminismTest, TrainerBytesAndLossesReplay) {
 TEST(DeterminismTest, SerialAndParallelEpochsAreBitIdentical) {
   // The same config run with threads=1 and threads=8 must produce
   // byte-identical messages and identical modeled costs and losses:
-  // every worker owns a forked codec seed lane and the driver reduces in
-  // fixed worker order, so thread count can only change wall-clock.
+  // every worker owns a forked codec seed lane, the driver reduces in
+  // fixed worker order, and the pipelined broadcast folds in batch order,
+  // so thread count can only change wall-clock.
   ml::SyntheticConfig config;
   config.num_instances = 1500;
   config.dim = 1 << 13;
@@ -105,10 +107,8 @@ TEST(DeterminismTest, SerialAndParallelEpochsAreBitIdentical) {
   auto [train, test] = all.Split(0.25);
   auto loss = ml::MakeLoss("lr");
 
-  auto run = [&](const std::string& codec, int threads, int servers) {
-    dist::ClusterConfig cluster;
-    cluster.num_workers = 5;
-    cluster.num_servers = servers;
+  auto run = [&](const std::string& codec, int threads,
+                 const dist::ClusterConfig& cluster) {
     dist::TrainerConfig trainer_config;
     trainer_config.learning_rate = 0.05;
     trainer_config.adam_epsilon = 0.01;
@@ -117,33 +117,77 @@ TEST(DeterminismTest, SerialAndParallelEpochsAreBitIdentical) {
                                      std::move(core::MakeCodec(codec)).value(),
                                      cluster, trainer_config);
     auto stats = trainer.Run(3);
-    EXPECT_TRUE(stats.ok());
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
     return std::move(stats).value();
+  };
+  // Bytes, message counts, modeled network costs, churn and rollback
+  // counts, and losses are exact; only measured CPU seconds may differ.
+  // Returns the serial run for the caller's coverage checks.
+  const auto expect_thread_invariant = [&](const std::string& codec,
+                                           const dist::ClusterConfig& cluster,
+                                           const std::string& label) {
+    const auto serial = run(codec, 1, cluster);
+    const auto parallel = run(codec, 8, cluster);
+    EXPECT_EQ(serial.size(), parallel.size()) << label;
+    for (size_t e = 0; e < std::min(serial.size(), parallel.size()); ++e) {
+      EXPECT_EQ(serial[e].bytes_up, parallel[e].bytes_up) << label;
+      EXPECT_EQ(serial[e].bytes_down, parallel[e].bytes_down) << label;
+      EXPECT_EQ(serial[e].messages, parallel[e].messages) << label;
+      EXPECT_EQ(serial[e].network_seconds, parallel[e].network_seconds)
+          << label;
+      EXPECT_EQ(serial[e].joins, parallel[e].joins) << label;
+      EXPECT_EQ(serial[e].leaves, parallel[e].leaves) << label;
+      EXPECT_EQ(serial[e].rollbacks, parallel[e].rollbacks) << label;
+      EXPECT_EQ(serial[e].train_loss, parallel[e].train_loss) << label;
+      EXPECT_EQ(serial[e].test_loss, parallel[e].test_loss) << label;
+    }
+    return serial;
   };
 
   for (const char* codec : {"sketchml", "adam+key+quan", "zipml-16bit"}) {
     for (int servers : {1, 3}) {
-      const auto serial = run(codec, 1, servers);
-      const auto parallel = run(codec, 8, servers);
-      ASSERT_EQ(serial.size(), parallel.size());
-      for (size_t e = 0; e < serial.size(); ++e) {
-        // Bytes, message counts, modeled network/update costs, and losses
-        // are exact; only measured CPU seconds may differ between runs.
-        EXPECT_EQ(serial[e].bytes_up, parallel[e].bytes_up)
-            << codec << " S=" << servers;
-        EXPECT_EQ(serial[e].bytes_down, parallel[e].bytes_down)
-            << codec << " S=" << servers;
-        EXPECT_EQ(serial[e].messages, parallel[e].messages)
-            << codec << " S=" << servers;
-        EXPECT_DOUBLE_EQ(serial[e].network_seconds, parallel[e].network_seconds)
-            << codec << " S=" << servers;
-        EXPECT_DOUBLE_EQ(serial[e].train_loss, parallel[e].train_loss)
-            << codec << " S=" << servers;
-        EXPECT_DOUBLE_EQ(serial[e].test_loss, parallel[e].test_loss)
-            << codec << " S=" << servers;
-      }
+      dist::ClusterConfig cluster;
+      cluster.num_workers = 5;
+      cluster.num_servers = servers;
+      expect_thread_invariant(
+          codec, cluster, std::string(codec) + " S=" + std::to_string(servers));
     }
   }
+
+  // Churn: joins and leaves fire at batch boundaries, where the pending
+  // broadcast is joined before the events charge the network.
+  dist::ClusterConfig churn;
+  churn.num_workers = 5;
+  churn.num_servers = 3;
+  churn.membership.seed = 3;
+  churn.membership.join_prob = 0.1;
+  churn.membership.leave_prob = 0.05;
+  churn.membership.max_workers = 7;
+  uint64_t joins = 0, leaves = 0;
+  for (const auto& epoch : expect_thread_invariant("sketchml", churn, "churn")) {
+    joins += epoch.joins;
+    leaves += epoch.leaves;
+  }
+  EXPECT_GT(joins, 0u);
+  EXPECT_GT(leaves, 0u);
+
+  // Faults: drops, stragglers and below-quorum crashes; each failed epoch
+  // rolls back to its checkpoint while a broadcast may be in flight.
+  dist::ClusterConfig faults;
+  faults.num_workers = 5;
+  faults.faults.seed = 6;
+  faults.faults.drop_prob = 0.05;
+  faults.faults.straggle_prob = 0.1;
+  faults.faults.crash_prob = 0.06;
+  faults.faults.min_quorum = 3;
+  faults.membership.checkpoint_every = 1;
+  faults.membership.max_rollbacks = 8;
+  uint64_t rollbacks = 0;
+  for (const auto& epoch :
+       expect_thread_invariant("sketchml", faults, "faults")) {
+    rollbacks += epoch.rollbacks;
+  }
+  EXPECT_GT(rollbacks, 0u);
 }
 
 TEST(DeterminismTest, PooledSignStreamEncodeMatchesSerialBytes) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/byte_buffer.h"
@@ -203,6 +206,16 @@ TEST(KllSketchTest, DeserializeRejectsCorruptPayloads) {
   common::ByteReader reader(bad);
   KllSketch out;
   EXPECT_FALSE(KllSketch::Deserialize(&reader, &out).ok());
+
+  // A NaN item, which Deserialize would otherwise have to sort: the last
+  // 8 bytes are the top level's last item.
+  std::vector<uint8_t> nan_item = bytes;
+  const double nan = std::nan("");
+  std::memcpy(nan_item.data() + nan_item.size() - sizeof(nan), &nan,
+              sizeof(nan));
+  common::ByteReader nan_reader(nan_item);
+  EXPECT_EQ(KllSketch::Deserialize(&nan_reader, &out).code(),
+            common::StatusCode::kCorruptedData);
 }
 
 TEST(KllSketchTest, UpdateWeightedMatchesRepeatedUpdates) {
@@ -228,6 +241,199 @@ TEST(KllSketchTest, UpdateWeightedRequiresPowerOfTwo) {
   EXPECT_EQ(sketch.Count(), 9u);
   EXPECT_DEATH(sketch.UpdateWeighted(3.0, 3), "");
   EXPECT_DEATH(sketch.UpdateWeighted(3.0, 0), "");
+}
+
+// The build KllSketch had before levels >= 1 stayed sorted: per-item
+// updates and a std::sort at every compaction. The sketch must reach the
+// same summary bit for bit.
+struct ReferenceKll {
+  ReferenceKll(int k, uint64_t seed) : k(k), rng(seed), levels(1) {}
+
+  size_t Capacity(size_t level) const {
+    const double depth = static_cast<double>(levels.size() - 1 - level);
+    return std::max<size_t>(8, static_cast<size_t>(k * std::pow(2.0 / 3.0, depth)));
+  }
+  void Compact(size_t level) {
+    if (levels[level].size() < 2) return;
+    if (level + 1 >= levels.size()) levels.emplace_back();
+    std::vector<double>& buf = levels[level];
+    std::sort(buf.begin(), buf.end());
+    const size_t phase = rng.NextBounded(2);
+    const size_t n = buf.size() & ~size_t{1};
+    for (size_t i = phase; i < n; i += 2) levels[level + 1].push_back(buf[i]);
+    if (buf.size() > n) buf[0] = buf[n];
+    buf.resize(buf.size() - n);
+  }
+  void Cascade(size_t first) {
+    for (size_t level = first; level < levels.size(); ++level) {
+      if (levels[level].size() >= Capacity(level)) Compact(level);
+    }
+  }
+  void Range(double lo, double hi, uint64_t weight) {
+    min = count == 0 ? lo : std::min(min, lo);
+    max = count == 0 ? hi : std::max(max, hi);
+    count += weight;
+  }
+  void UpdateWeighted(double v, uint64_t weight) {
+    Range(v, v, weight);
+    const size_t target = std::countr_zero(weight);
+    if (target >= levels.size()) levels.resize(target + 1);
+    levels[target].push_back(v);
+    if (levels[target].size() >= Capacity(target)) Cascade(target);
+  }
+  void Merge(const ReferenceKll& other) {
+    if (other.count == 0) return;
+    Range(other.min, other.max, other.count);
+    if (levels.size() < other.levels.size()) levels.resize(other.levels.size());
+    for (size_t level = 0; level < other.levels.size(); ++level) {
+      levels[level].insert(levels[level].end(), other.levels[level].begin(),
+                           other.levels[level].end());
+    }
+    Cascade(0);
+  }
+  // Wire format of KllSketch::Serialize, levels in their stored order.
+  void Serialize(common::ByteWriter* writer) const {
+    writer->WriteU8(1);
+    writer->WriteU32(static_cast<uint32_t>(k));
+    writer->WriteU64(count);
+    writer->WriteDouble(min);
+    writer->WriteDouble(max);
+    writer->WriteVarint(levels.size());
+    for (const auto& level : levels) {
+      writer->WriteVarint(level.size());
+      for (double v : level) writer->WriteDouble(v);
+    }
+  }
+
+  int k;
+  common::Rng rng;
+  std::vector<std::vector<double>> levels;
+  uint64_t count = 0;
+  double min = 0.0, max = 0.0;
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Reference state as a KllSketch (Deserialize accepts unsorted levels).
+KllSketch FromReference(const ReferenceKll& ref, uint64_t seed) {
+  common::ByteWriter writer;
+  ref.Serialize(&writer);
+  common::ByteReader reader(writer.buffer());
+  KllSketch out;
+  EXPECT_TRUE(KllSketch::Deserialize(&reader, &out, seed).ok());
+  return out;
+}
+
+void ExpectMatchesReference(const KllSketch& got, const ReferenceKll& ref) {
+  ASSERT_EQ(got.Count(), ref.count);
+  if (ref.count == 0) return;
+  EXPECT_TRUE(got.InvariantsHold());
+  EXPECT_EQ(Bits(got.Min()), Bits(ref.min));
+  EXPECT_EQ(Bits(got.Max()), Bits(ref.max));
+  const KllSketch want = FromReference(ref, 1);
+  EXPECT_EQ(got.SerializedSize(), want.SerializedSize());
+  const auto got_items = got.RetainedItems();
+  const auto want_items = want.RetainedItems();
+  ASSERT_EQ(got_items.size(), want_items.size());
+  for (size_t i = 0; i < got_items.size(); ++i) {
+    ASSERT_EQ(Bits(got_items[i].first), Bits(want_items[i].first)) << i;
+    ASSERT_EQ(got_items[i].second, want_items[i].second) << i;
+  }
+  for (int splits : {1, 7, 255}) {
+    const auto a = got.EqualDepthSplits(splits);
+    const auto b = want.EqualDepthSplits(splits);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(Bits(a[i]), Bits(b[i]));
+  }
+  for (double q : {0.01, 0.3, 0.5, 0.99}) {
+    EXPECT_EQ(Bits(got.Quantile(q)), Bits(want.Quantile(q))) << q;
+    EXPECT_EQ(Bits(got.Rank(got.Quantile(q))), Bits(want.Rank(want.Quantile(q))));
+  }
+}
+
+// Gaussian values, or (heavy) a handful of distinct values with many
+// repeats; neither contains -0.0, whose tie order with +0.0 may differ.
+std::vector<double> Stream(size_t n, uint64_t seed, bool heavy) {
+  common::Rng rng(seed);
+  std::vector<double> values(n);
+  for (double& v : values) {
+    v = heavy && rng.NextBernoulli(0.8)
+            ? 0.125 * static_cast<double>(rng.NextBounded(6)) - 0.25
+            : rng.NextGaussian();
+  }
+  return values;
+}
+
+TEST(KllReferenceTest, UpdatesMatchSortEveryCompactionBuild) {
+  for (int k : {8, 128, 256}) {
+    for (size_t n : {1u, 7u, 129u, 3100u, 100000u}) {
+      for (bool heavy : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "k=" << k << " n=" << n
+                                        << " heavy=" << heavy);
+        const std::vector<double> values = Stream(n, 1000 + n + k, heavy);
+        ReferenceKll ref(k, 3);
+        KllSketch per_item(k, 3), batched(k, 3), chunked(k, 3);
+        for (double v : values) {
+          ref.UpdateWeighted(v, 1);
+          per_item.Update(v);
+        }
+        batched.UpdateAll(values);
+        // Uneven chunks start mid-level and cross capacity boundaries.
+        for (size_t lo = 0, len = 1; lo < n; lo += len, len = len * 3 + 1) {
+          chunked.UpdateAll(std::vector<double>(
+              values.begin() + lo, values.begin() + std::min(n, lo + len)));
+        }
+        ExpectMatchesReference(per_item, ref);
+        ExpectMatchesReference(batched, ref);
+        ExpectMatchesReference(chunked, ref);
+      }
+    }
+  }
+}
+
+TEST(KllReferenceTest, MergeWeightedAndSerializedSequencesMatch) {
+  for (int k : {8, 128, 256}) {
+    for (size_t n : {1u, 7u, 129u, 3100u, 100000u}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " n=" << n);
+      const std::vector<double> a_values = Stream(n, 7 * n + k, true);
+      const std::vector<double> b_values = Stream(n / 2 + 1, 11 * n, false);
+      ReferenceKll ref_a(k, 5), ref_b(k, 6);
+      KllSketch a(k, 5), b(k, 6);
+      for (double v : a_values) ref_a.UpdateWeighted(v, 1);
+      a.UpdateAll(a_values);
+      common::Rng rng(n);
+      for (double v : b_values) {
+        const uint64_t weight = uint64_t{1} << rng.NextBounded(5);
+        ref_b.UpdateWeighted(v, weight);
+        b.UpdateWeighted(v, weight);
+      }
+      ExpectMatchesReference(b, ref_b);
+      ref_a.Merge(ref_b);
+      a.Merge(b);
+      ExpectMatchesReference(a, ref_a);
+
+      // Serialize -> Deserialize (new seed) -> update -> Merge. The
+      // reference blob is the old layout, with unsorted upper levels.
+      common::ByteWriter writer;
+      a.Serialize(&writer);
+      common::ByteReader reader(writer.buffer());
+      KllSketch copy;
+      ASSERT_TRUE(KllSketch::Deserialize(&reader, &copy, 9).ok());
+      KllSketch old_copy = FromReference(ref_a, 9);
+      ReferenceKll ref_copy = ref_a;
+      ref_copy.rng = common::Rng(9);
+      for (double v : b_values) {
+        ref_copy.UpdateWeighted(v, 1);
+        copy.Update(v);
+      }
+      old_copy.UpdateAll(b_values);
+      ExpectMatchesReference(copy, ref_copy);
+      ExpectMatchesReference(old_copy, ref_copy);
+      ref_b.Merge(ref_copy);
+      b.Merge(copy);
+      ExpectMatchesReference(b, ref_b);
+    }
+  }
 }
 
 TEST(KllSketchTest, NormalizedRankErrorShrinksWithK) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -110,6 +111,49 @@ TEST(ThreadPoolTest, StressManyTasksRunExactlyOnce) {
   for (auto& task : tasks) sum += task.Get();
   EXPECT_EQ(executions.load(), kTasks);
   EXPECT_EQ(sum, static_cast<long long>(kTasks) * (kTasks - 1) / 2);
+}
+
+TEST(ThreadPoolTest, FutureDestroyedWithoutGetJoinsItsTask) {
+  // The only worker is blocked, so nothing but the future can start the
+  // task: its destructor must claim and run it before returning, and the
+  // worker must not run it a second time once released.
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  auto blocker = pool.Submit([gate] { gate.wait(); });
+  std::atomic<int> runs{0};
+  { auto dropped = pool.Submit([&runs] { ++runs; }); }
+  EXPECT_EQ(runs.load(), 1);
+  release.set_value();
+  blocker.Get();
+  pool.Submit([] {}).Get();  // FIFO: the worker has passed the old node.
+  EXPECT_EQ(runs.load(), 1);
+
+  // A task a worker already started is waited for, its exception dropped.
+  std::promise<void> started;
+  std::atomic<bool> finished{false};
+  {
+    auto running = pool.Submit([&started, &finished]() -> int {
+      started.set_value();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished = true;
+      throw std::runtime_error("discarded");
+    });
+    started.get_future().wait();
+  }
+  EXPECT_TRUE(finished.load());
+}
+
+TEST(ThreadPoolTest, DeferredTaskRunsOnlyAtGetOnCallingThread) {
+  std::atomic<int> runs{0};
+  auto task = Deferred([&runs] {
+    ++runs;
+    return std::this_thread::get_id();
+  });
+  EXPECT_TRUE(task.valid());
+  EXPECT_EQ(runs.load(), 0);
+  EXPECT_EQ(task.Get(), std::this_thread::get_id());
+  EXPECT_EQ(runs.load(), 1);
 }
 
 TEST(ThreadPoolTest, DefaultThreadCountIsPositive) {

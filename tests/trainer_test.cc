@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "compress/raw_codec.h"
 #include "core/codec_factory.h"
@@ -39,21 +41,23 @@ std::unique_ptr<compress::GradientCodec> Codec(const std::string& name) {
 }
 
 // Sends like adam-double, but while `poison` is set, lane kBadLane's
-// decoder also yields key `dim`: a codec bug that hands the driver an index
-// past the model. The server/broadcast lane (not a fork) never does.
-class OutOfRangeKeyCodec : public compress::GradientCodec {
+// decoder corrupts what it hands the driver: kKeyPastModel appends key
+// `dim`, an index past the model; kInfinity decodes the first value as
+// +inf. The server/broadcast lane (not a fork) never does.
+class PoisonedLaneCodec : public compress::GradientCodec {
  public:
+  enum Poison { kKeyPastModel, kInfinity };
   static constexpr int64_t kBadLane = 2;
 
-  OutOfRangeKeyCodec(uint64_t dim, std::shared_ptr<std::atomic<bool>> poison,
-                     int64_t lane = -1)
-      : dim_(dim), poison_(std::move(poison)), lane_(lane) {}
+  PoisonedLaneCodec(uint64_t dim, std::shared_ptr<std::atomic<bool>> poison,
+                    Poison kind = kKeyPastModel, int64_t lane = -1)
+      : dim_(dim), poison_(std::move(poison)), kind_(kind), lane_(lane) {}
 
-  std::string Name() const override { return "out-of-range-key"; }
+  std::string Name() const override { return "poisoned-lane"; }
   bool IsLossless() const override { return true; }
   std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {
-    return std::make_unique<OutOfRangeKeyCodec>(dim_, poison_,
-                                                static_cast<int64_t>(lane));
+    return std::make_unique<PoisonedLaneCodec>(dim_, poison_, kind_,
+                                               static_cast<int64_t>(lane));
   }
 
  protected:
@@ -64,7 +68,12 @@ class OutOfRangeKeyCodec : public compress::GradientCodec {
   common::Status DecodeImpl(const compress::EncodedGradient& in,
                             common::SparseGradient* out) override {
     SKETCHML_RETURN_IF_ERROR(raw_.Decode(in, out));
-    if (lane_ == kBadLane && poison_->load()) out->push_back({dim_, 1.0});
+    if (lane_ != kBadLane || !poison_->load()) return common::Status::Ok();
+    if (kind_ == kKeyPastModel) {
+      out->push_back({dim_, 1.0});
+    } else if (!out->empty()) {
+      out->front().value = std::numeric_limits<double>::infinity();
+    }
     return common::Status::Ok();
   }
 
@@ -72,6 +81,7 @@ class OutOfRangeKeyCodec : public compress::GradientCodec {
   compress::RawCodec raw_;
   uint64_t dim_;
   std::shared_ptr<std::atomic<bool>> poison_;
+  Poison kind_;
   int64_t lane_;
 };
 
@@ -85,7 +95,7 @@ TEST(TrainerTest, DecodedKeyOutsideModelFailsBatchAndLeavesAggregateClean) {
   config.num_threads = 2;
   config.evaluate_test_loss = false;
   DistributedTrainer trainer(f.train.get(), f.test.get(), f.loss.get(),
-                             std::make_unique<OutOfRangeKeyCodec>(dim, poison),
+                             std::make_unique<PoisonedLaneCodec>(dim, poison),
                              cluster, config);
   const auto failed = trainer.RunEpoch();
   ASSERT_FALSE(failed.ok());
@@ -102,12 +112,111 @@ TEST(TrainerTest, DecodedKeyOutsideModelFailsBatchAndLeavesAggregateClean) {
   const auto recovered = trainer.RunEpoch();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   DistributedTrainer fresh(f.train.get(), f.test.get(), f.loss.get(),
-                           std::make_unique<OutOfRangeKeyCodec>(dim, poison),
+                           std::make_unique<PoisonedLaneCodec>(dim, poison),
                            cluster, config);
   const auto reference = fresh.RunEpoch();
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   EXPECT_EQ(recovered->train_loss, reference->train_loss);
   EXPECT_EQ(trainer.optimizer().weights(), fresh.optimizer().weights());
+}
+
+TEST(TrainerTest, NonFiniteAggregateFailsBatchBeforeTheUpdate) {
+  // An inf reaching Adam would turn the weights into NaN while the epoch
+  // still returned OK. The batch fails before the optimizer step instead,
+  // with the accumulator drained clean, so after the poison clears the
+  // next epoch is exactly a fresh trainer's first.
+  Fixture f;
+  const uint64_t dim = f.train->dim();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    auto poison = std::make_shared<std::atomic<bool>>(true);
+    ClusterConfig cluster;
+    cluster.num_workers = 4;
+    TrainerConfig config;
+    config.num_threads = threads;
+    config.evaluate_test_loss = false;
+    const auto make = [&] {
+      return std::make_unique<DistributedTrainer>(
+          f.train.get(), f.test.get(), f.loss.get(),
+          std::make_unique<PoisonedLaneCodec>(dim, poison,
+                                              PoisonedLaneCodec::kInfinity),
+          cluster, config);
+    };
+    auto trainer = make();
+    const auto failed = trainer->RunEpoch();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), common::StatusCode::kCorruptedData);
+    const std::string& message = failed.status().message();
+    EXPECT_NE(message.find("not finite at batch 0"), std::string::npos)
+        << message;
+
+    poison->store(false);
+    const auto recovered = trainer->RunEpoch();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    auto fresh = make();
+    const auto reference = fresh->RunEpoch();
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(recovered->train_loss, reference->train_loss);
+    EXPECT_EQ(trainer->optimizer().weights(), fresh->optimizer().weights());
+  }
+}
+
+// Sends like adam-double, but the driver/broadcast lane (not a fork)
+// fails its 3rd Encode: the 3rd batch's broadcast.
+class FailingBroadcastCodec : public compress::GradientCodec {
+ public:
+  explicit FailingBroadcastCodec(bool driver_lane = true)
+      : driver_lane_(driver_lane) {}
+
+  std::string Name() const override { return "failing-broadcast"; }
+  bool IsLossless() const override { return true; }
+  std::unique_ptr<GradientCodec> Fork(uint64_t) const override {
+    return std::make_unique<FailingBroadcastCodec>(false);
+  }
+
+ protected:
+  common::Status EncodeImpl(const common::SparseGradient& grad,
+                            compress::EncodedGradient* out) override {
+    if (driver_lane_ && ++encodes_ == 3) {
+      return common::Status::Internal("broadcast encode 3 failed");
+    }
+    return raw_.Encode(grad, out);
+  }
+  common::Status DecodeImpl(const compress::EncodedGradient& in,
+                            common::SparseGradient* out) override {
+    return raw_.Decode(in, out);
+  }
+
+ private:
+  compress::RawCodec raw_;
+  bool driver_lane_;
+  int encodes_ = 0;
+};
+
+TEST(TrainerTest, BroadcastErrorFailsEpochAtItsJoinAtAnyThreadCount) {
+  // The failed broadcast's batch is already applied, the next batch's
+  // concurrent worker results are not: both thread counts stop with the
+  // same status on the same weights.
+  Fixture f;
+  std::vector<std::vector<double>> weights;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ClusterConfig cluster;
+    cluster.num_workers = 4;
+    TrainerConfig config;
+    config.num_threads = threads;
+    config.evaluate_test_loss = false;
+    DistributedTrainer trainer(f.train.get(), f.test.get(), f.loss.get(),
+                               std::make_unique<FailingBroadcastCodec>(),
+                               cluster, config);
+    const auto result = trainer.RunEpoch();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), common::StatusCode::kInternal);
+    EXPECT_EQ(result.status().message(), "broadcast encode 3 failed");
+    weights.push_back(trainer.optimizer().weights());
+  }
+  EXPECT_EQ(weights[0], weights[1]);
+  EXPECT_NE(weights[0], std::vector<double>(weights[0].size(), 0.0));
 }
 
 // Sends like adam-double, but lane kBadLane's decoder rejects every
