@@ -43,9 +43,11 @@ void BM_Encode(benchmark::State& state, const char* name) {
       static_cast<double>(msg.size()) / static_cast<double>(grad.size());
 }
 
-void BM_Decode(benchmark::State& state, const char* name) {
+// 2^15 pairs over `dim` keys. At 2^22 keys SketchML decode orders its key
+// runs by merging; at 2^16 (kdd12's density) by rank placement.
+void BM_Decode(benchmark::State& state, const char* name, uint64_t dim) {
   auto codec = std::move(core::MakeCodec(name)).value();
-  const auto grad = MakeGradient(1 << 15, 1 << 22, 3);
+  const auto grad = MakeGradient(1 << 15, dim, 3);
   compress::EncodedGradient msg;
   if (!codec->Encode(grad, &msg).ok()) state.SkipWithError("encode failed");
   common::SparseGradient decoded;
@@ -64,9 +66,10 @@ BENCHMARK_CAPTURE(BM_Encode, onebit, "onebit");
 BENCHMARK_CAPTURE(BM_Encode, qsgd, "qsgd");
 BENCHMARK_CAPTURE(BM_Encode, huffman, "huffman");
 BENCHMARK_CAPTURE(BM_Encode, rle, "rle");
-BENCHMARK_CAPTURE(BM_Decode, adam_double, "adam-double");
-BENCHMARK_CAPTURE(BM_Decode, sketchml, "sketchml");
-BENCHMARK_CAPTURE(BM_Decode, zipml16, "zipml-16bit");
+BENCHMARK_CAPTURE(BM_Decode, adam_double, "adam-double", 1 << 22);
+BENCHMARK_CAPTURE(BM_Decode, sketchml, "sketchml", 1 << 22);
+BENCHMARK_CAPTURE(BM_Decode, sketchml_dense, "sketchml", 1 << 16);
+BENCHMARK_CAPTURE(BM_Decode, zipml16, "zipml-16bit", 1 << 22);
 
 void BM_DeltaBinaryKeys(benchmark::State& state) {
   const auto grad =
@@ -83,6 +86,24 @@ void BM_DeltaBinaryKeys(benchmark::State& state) {
       static_cast<double>(keys.size());
 }
 BENCHMARK(BM_DeltaBinaryKeys)->Arg(1 << 12)->Arg(1 << 16);
+
+void BM_DeltaBinaryKeysDecode(benchmark::State& state) {
+  const auto grad =
+      MakeGradient(static_cast<size_t>(state.range(0)), 1 << 22, 5);
+  common::ByteWriter writer;
+  if (!compress::DeltaBinaryKeyCodec::Encode(common::Keys(grad), &writer)
+           .ok()) {
+    state.SkipWithError("encode failed");
+  }
+  std::vector<uint64_t> keys;
+  for (auto _ : state) {
+    common::ByteReader reader(writer.buffer());
+    benchmark::DoNotOptimize(
+        compress::DeltaBinaryKeyCodec::Decode(&reader, &keys));
+  }
+  state.SetItemsProcessed(state.iterations() * grad.size());
+}
+BENCHMARK(BM_DeltaBinaryKeysDecode)->Arg(1 << 12)->Arg(1 << 16);
 
 // --- Level-pinned kernel benches -----------------------------------------
 //

@@ -38,7 +38,7 @@ MIN_TIME=0.2
 FILTER='BM_Encode/|BM_Decode/sketchml|BM_DeltaBinaryKeys|BM_BucketSearch|BM_HashBuckets|BM_DeltaScan|BM_EncodeSketchMlAt'
 if [[ "$SMOKE" -eq 1 ]]; then
   MIN_TIME=0.01
-  FILTER='BM_BucketSearch|BM_EncodeSketchMlAt|BM_Encode/sketchml'
+  FILTER='BM_BucketSearch|BM_EncodeSketchMlAt|BM_Encode/sketchml|BM_Decode/sketchml|BM_DeltaBinaryKeysDecode'
 fi
 
 TMP="$(mktemp -d)"

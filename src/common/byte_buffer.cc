@@ -82,17 +82,4 @@ void TwoBitWriter::Append(uint8_t symbol) {
   ++count_;
 }
 
-Status TwoBitReader::Next(uint8_t* out) {
-  if (pos_ >= count_) return Status::CorruptedData("two-bit stream exhausted");
-  const size_t byte_index = pos_ / 4;
-  if (byte_index >= nbytes_) {
-    return Status::CorruptedData("two-bit stream shorter than declared count");
-  }
-  const size_t bit_offset = (pos_ % 4) * 2;
-  *out = (data_[byte_index] >> bit_offset) & 0x3;
-  ++pos_;
-  SKETCHML_DCHECK_LE(pos_, count_);
-  return Status::Ok();
-}
-
 }  // namespace sketchml::common

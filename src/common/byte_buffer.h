@@ -124,6 +124,17 @@ class ByteReader {
 
   Status ReadRaw(void* out, size_t len);
 
+  /// Zero-copy ReadRaw: points `out` at the next `len` bytes of the
+  /// underlying buffer (valid as long as that buffer is) and skips them.
+  Status ReadSpan(size_t len, std::span<const uint8_t>* out) {
+    if (len > remaining()) {
+      return Status::CorruptedData("read past end of buffer");
+    }
+    *out = {data_ + pos_, len};
+    pos_ += len;
+    return Status::Ok();
+  }
+
   size_t remaining() const { return len_ - pos_; }
   size_t position() const { return pos_; }
   bool AtEnd() const { return pos_ == len_; }
@@ -135,8 +146,10 @@ class ByteReader {
 };
 
 /// Appends `count` bits (values 0/1 packed MSB-first per byte are not
-/// required here; we pack LSB-first) of 2-bit symbols. Used for the
-/// delta-binary "byte flag" stream (2 bits per key, §3.4).
+/// required here; we pack LSB-first) of 2-bit symbols: the layout of the
+/// delta-binary "byte flag" stream (2 bits per key, §3.4), which
+/// DeltaBinaryKeyCodec packs and unpacks in place. Tests keep this writer
+/// as the reference encoder.
 class TwoBitWriter {
  public:
   /// Appends a symbol in [0, 3].
@@ -151,24 +164,6 @@ class TwoBitWriter {
  private:
   std::vector<uint8_t> bytes_;
   size_t count_ = 0;
-};
-
-/// Reads back 2-bit symbols written by `TwoBitWriter`.
-class TwoBitReader {
- public:
-  TwoBitReader(const uint8_t* data, size_t nbytes, size_t count)
-      : data_(data), nbytes_(nbytes), count_(count) {}
-
-  /// Reads the next symbol; fails with kCorruptedData past the end.
-  Status Next(uint8_t* out);
-
-  size_t remaining() const { return count_ - pos_; }
-
- private:
-  const uint8_t* data_;
-  size_t nbytes_;
-  size_t count_;
-  size_t pos_ = 0;
 };
 
 }  // namespace sketchml::common

@@ -5,7 +5,12 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <span>
 #include <vector>
+
+#include "common/logging.h"
 
 namespace sketchml::common {
 
@@ -32,16 +37,27 @@ inline void SortByKey(SparseGradient* grad) {
             });
 }
 
-/// Merges consecutive runs of `grad`, each already sorted by ascending
-/// key, into one ascending vector. Run i spans
-/// [run_ends[i-1], run_ends[i]) with run 0 starting at 0; `run_ends` is
-/// non-decreasing and its last entry is `grad->size()` (empty runs are
-/// fine; no runs means an empty `grad`). Neighbouring runs merge pairwise,
-/// bottom up, so the cost is O(n log runs) instead of a full sort's
-/// O(n log n). Equal keys keep run order; with unique keys the result
-/// equals `SortByKey`'s.
-inline void MergeSortedRuns(SparseGradient* grad,
-                            const std::vector<size_t>& run_ends) {
+/// True if keys are strictly increasing (the codec precondition).
+inline bool IsSortedByKey(const SparseGradient& grad) {
+  for (size_t i = 1; i < grad.size(); ++i) {
+    if (grad[i - 1].key >= grad[i].key) return false;
+  }
+  return true;
+}
+
+/// Scratch for `MergeSortedRuns`, reused across calls so a decoder's
+/// steady state allocates nothing. It holds at most 12 bytes per pair.
+struct RunMergeScratch {
+  std::vector<uint64_t> bits;   // Bit k of word k/64: key min + k is present.
+  std::vector<uint32_t> ranks;  // Keys present in the words before word w.
+};
+
+namespace internal {
+
+/// Merges the consecutive sorted runs of `grad` pairwise, bottom up, in
+/// O(n log runs). Equal keys keep run order.
+inline void MergeRunsPairwise(SparseGradient* grad,
+                              std::span<const size_t> run_ends) {
   const size_t runs = run_ends.size();
   const auto run_begin = [&](size_t run) {
     return grad->begin() + (run == 0 ? 0 : run_ends[run - 1]);
@@ -55,6 +71,87 @@ inline void MergeSortedRuns(SparseGradient* grad,
                          });
     }
   }
+}
+
+}  // namespace internal
+
+/// Writes the pairs (keys[i], value_of(i)) to `out` in ascending key
+/// order and returns true, or returns false (leaving `out` unspecified)
+/// when a key appears in more than one run. `keys` is a concatenation of
+/// runs, each strictly increasing: run r spans [run_ends[r-1],
+/// run_ends[r]) with run 0 starting at 0, and `run_ends` is non-decreasing
+/// with keys.size() last (empty runs are fine; no runs means no keys).
+/// `value_of` must be free of side effects.
+///
+/// The layout follows the span of the keys. When the bitmap over
+/// [min key, max key] needs no more 64-bit words than there are pairs,
+/// every pair goes straight to its rank: one bit per key, a prefix count
+/// of the words, and key k lands at ranks[word] + popcount(bits below k);
+/// a repeated key sets its bit twice, so the count falls short. A sparser
+/// span would need unbounded bitmap memory, so its pairs are written in
+/// run order and merged pairwise; a repeated key then meets its twin.
+/// Either way the result equals `SortByKey`'s.
+template <typename ValueOf>
+bool MergeSortedRuns(std::span<const uint64_t> keys,
+                     std::span<const size_t> run_ends, ValueOf&& value_of,
+                     SparseGradient* out, RunMergeScratch* scratch) {
+  const size_t n = keys.size();
+  out->resize(n);
+  uint64_t lo = ~uint64_t{0};
+  uint64_t hi = 0;
+  size_t begin = 0;
+  for (const size_t end : run_ends) {
+    SKETCHML_DCHECK(std::adjacent_find(keys.begin() + begin,
+                                       keys.begin() + end,
+                                       std::greater_equal<>()) ==
+                    keys.begin() + end);
+    if (end > begin) {
+      lo = std::min(lo, keys[begin]);
+      hi = std::max(hi, keys[end - 1]);
+    }
+    begin = end;
+  }
+  SKETCHML_DCHECK_EQ(begin, n);
+  if (n == 0) return true;
+
+  const uint64_t words = ((hi - lo) >> 6) + 1;
+  if (words > n || n > std::numeric_limits<uint32_t>::max()) {
+    for (size_t i = 0; i < n; ++i) (*out)[i] = {keys[i], value_of(i)};
+    internal::MergeRunsPairwise(out, run_ends);
+    return IsSortedByKey(*out);
+  }
+
+  std::vector<uint64_t>& bits = scratch->bits;
+  bits.assign(words, 0);
+  for (const uint64_t key : keys) {
+    const uint64_t k = key - lo;
+    bits[k >> 6] |= uint64_t{1} << (k & 63);
+  }
+  std::vector<uint32_t>& ranks = scratch->ranks;
+  ranks.resize(words);
+  uint32_t present = 0;
+  for (size_t w = 0; w < words; ++w) {
+    ranks[w] = present;
+    present += static_cast<uint32_t>(std::popcount(bits[w]));
+  }
+  if (present != n) return false;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = keys[i] - lo;
+    const uint64_t below = bits[k >> 6] & ((uint64_t{1} << (k & 63)) - 1);
+    (*out)[ranks[k >> 6] + std::popcount(below)] = {keys[i], value_of(i)};
+  }
+#if SKETCHML_DCHECK_ENABLED
+  // Placement/merge equivalence, bit for bit (values may be NaN).
+  SparseGradient merged(n);
+  for (size_t i = 0; i < n; ++i) merged[i] = {keys[i], value_of(i)};
+  internal::MergeRunsPairwise(&merged, run_ends);
+  for (size_t i = 0; i < n; ++i) {
+    SKETCHML_DCHECK_EQ((*out)[i].key, merged[i].key);
+    SKETCHML_DCHECK_EQ(std::bit_cast<uint64_t>((*out)[i].value),
+                       std::bit_cast<uint64_t>(merged[i].value));
+  }
+#endif
+  return true;
 }
 
 /// Sums values per key over [0, dim) in a dense array, with a bitmap of
@@ -112,14 +209,6 @@ class KeyAccumulator {
   std::vector<uint64_t> touched_;  // Bit k of word k/64: key k was added.
   size_t touched_count_ = 0;
 };
-
-/// True if keys are strictly increasing (the codec precondition).
-inline bool IsSortedByKey(const SparseGradient& grad) {
-  for (size_t i = 1; i < grad.size(); ++i) {
-    if (grad[i - 1].key >= grad[i].key) return false;
-  }
-  return true;
-}
 
 /// Extracts just the values.
 inline std::vector<double> Values(const SparseGradient& grad) {

@@ -1,5 +1,8 @@
 #include "compress/codec.h"
 
+#include <cstring>
+#include <span>
+
 #include "common/obs.h"
 #include "common/trace.h"
 
@@ -9,6 +12,26 @@ common::Status ValidateEncodable(const common::SparseGradient& grad) {
   if (!common::IsSortedByKey(grad)) {
     return common::Status::InvalidArgument(
         "gradient keys must be strictly increasing; call SortByKey first");
+  }
+  return common::Status::Ok();
+}
+
+common::Status ReadRawKeys(common::ByteReader* reader,
+                           common::SparseGradient* out) {
+  std::span<const uint8_t> bytes;
+  SKETCHML_RETURN_IF_ERROR(
+      reader->ReadSpan(out->size() * sizeof(uint32_t), &bytes));
+  bool ascending = true;
+  uint32_t previous = 0;
+  for (size_t i = 0; i < out->size(); ++i) {
+    uint32_t key = 0;
+    std::memcpy(&key, bytes.data() + i * sizeof(key), sizeof(key));
+    ascending &= i == 0 || key > previous;
+    previous = key;
+    (*out)[i].key = key;
+  }
+  if (!ascending) {
+    return common::Status::CorruptedData("keys not strictly increasing");
   }
   return common::Status::Ok();
 }
@@ -93,7 +116,9 @@ common::Status GradientCodec::Encode(const common::SparseGradient& grad,
 common::Status GradientCodec::Decode(const EncodedGradient& in,
                                      common::SparseGradient* out) {
   if (!obs::MetricsEnabled() && !obs::TracingEnabled()) {
-    return DecodeImpl(in, out);
+    const common::Status status = DecodeImpl(in, out);
+    SKETCHML_DCHECK(!status.ok() || common::IsSortedByKey(*out));
+    return status;
   }
 
   Instruments& ins = GetInstruments();
@@ -107,6 +132,7 @@ common::Status GradientCodec::Decode(const EncodedGradient& in,
     ins.decode_errors.Increment();
     return status;
   }
+  SKETCHML_DCHECK(common::IsSortedByKey(*out));
   span.Arg("pairs", static_cast<double>(out->size()));
   ins.decode_calls.Increment();
   ins.decode_bytes.Add(static_cast<double>(in.size()));

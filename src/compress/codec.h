@@ -58,7 +58,10 @@ class GradientCodec {
                                       EncodedGradient* out);
 
   /// Reconstructs a gradient from `in`. Keys are exact; values are exact
-  /// iff `IsLossless()`.
+  /// iff `IsLossless()`. The keys of an OK decode strictly increase, as
+  /// `Encode` requires of its input: a message whose keys do not (one
+  /// out of order, or repeated across a format's groups or streams) is
+  /// kCorruptedData.
   ///
   /// Hardening contract: `in` may be arbitrary bytes off the wire
   /// (truncated, bit-flipped, pure garbage). Implementations must bounds-
@@ -153,6 +156,12 @@ class GradientCodec {
 /// Validates the shared Encode precondition; used by all implementations.
 [[nodiscard]] common::Status ValidateEncodable(
     const common::SparseGradient& grad);
+
+/// Reads the raw key block of the adam, ZipML, QSGD and one-bit formats:
+/// `out->size()` little-endian u32 keys, into `out`'s keys. Returns
+/// kCorruptedData on truncation or unless the keys strictly increase.
+[[nodiscard]] common::Status ReadRawKeys(common::ByteReader* reader,
+                                         common::SparseGradient* out);
 
 }  // namespace sketchml::compress
 

@@ -52,46 +52,69 @@ common::Status DeltaBinaryKeyCodec::Encode(const std::vector<uint64_t>& keys,
   return common::Status::Ok();
 }
 
-common::Status DeltaBinaryKeyCodec::Decode(common::ByteReader* reader,
-                                           std::vector<uint64_t>* keys) {
+common::Status DeltaBinaryKeyCodec::DecodeAppend(common::ByteReader* reader,
+                                                 std::vector<uint64_t>* keys) {
   uint64_t count = 0;
   SKETCHML_RETURN_IF_ERROR(reader->ReadVarint(&count));
-  keys->clear();
   if (count == 0) return common::Status::Ok();
   // Every key costs at least 1 delta byte *plus* a quarter byte of flag
   // stream; a count that cannot fit in the remaining buffer is
-  // corruption, and checking before reserve() prevents adversarial giant
+  // corruption, and checking before resize() prevents adversarial giant
   // allocations. (The first clause keeps the arithmetic overflow-free.)
   if (count > reader->remaining() ||
       count + common::CeilDiv(count, 4) > reader->remaining()) {
     return common::Status::CorruptedData("implausible key count");
   }
-  keys->reserve(count);
+  std::span<const uint8_t> flags;
+  SKETCHML_RETURN_IF_ERROR(
+      reader->ReadSpan(common::CeilDiv(count, 4), &flags));
 
-  const size_t flag_bytes = common::CeilDiv(count, 4);
-  std::vector<uint8_t> flags(flag_bytes);
-  SKETCHML_RETURN_IF_ERROR(reader->ReadRaw(flags.data(), flag_bytes));
-  common::TwoBitReader flag_reader(flags.data(), flag_bytes, count);
-
-  // Two passes over the flag stream would need it buffered anyway, so we
-  // decode flag-then-delta per key in one pass: but the wire layout stores
-  // all flags before all deltas, so read flags first, then deltas.
-  std::vector<uint8_t> widths(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint8_t symbol = 0;
-    SKETCHML_RETURN_IF_ERROR(flag_reader.Next(&symbol));
-    widths[i] = static_cast<uint8_t>(symbol + 1);
+  // Flag symbol s means an (s + 1)-byte delta, so the delta block is
+  // `count` bytes plus the symbol sum. Padding symbols past `count` in
+  // the last flag byte are masked off: no key reads them.
+  const auto symbol_sum = [](unsigned b) {
+    return (b & 3) + ((b >> 2) & 3) + ((b >> 4) & 3) + (b >> 6);
+  };
+  size_t delta_bytes = count;
+  for (size_t i = 0; i + 1 < flags.size(); ++i) {
+    delta_bytes += symbol_sum(flags[i]);
   }
+  const unsigned last_mask =
+      count % 4 == 0 ? 0xFFu : (1u << (2 * (count % 4))) - 1;
+  delta_bytes += symbol_sum(flags.back() & last_mask);
+  std::span<const uint8_t> deltas;
+  SKETCHML_RETURN_IF_ERROR(reader->ReadSpan(delta_bytes, &deltas));
 
-  uint64_t previous = 0;
-  for (uint64_t i = 0; i < count; ++i) {
+  // Wide loads may run past the delta block into the rest of the
+  // message, never past the reader's buffer.
+  constexpr uint64_t kWidthMask[4] = {0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF};
+  const uint8_t* cursor = deltas.data();
+  const uint8_t* const buffer_end =
+      deltas.data() + deltas.size() + reader->remaining();
+  const size_t first = keys->size();
+  keys->resize(first + count);
+  uint64_t* out = keys->data() + first;
+  uint64_t key = 0;
+  bool zero_delta = false;
+  for (size_t i = 0; i < count; ++i) {
+    const unsigned symbol = (flags[i >> 2] >> ((i & 3) * 2)) & 3;
     uint64_t delta = 0;
-    SKETCHML_RETURN_IF_ERROR(reader->ReadUintN(widths[i], &delta));
-    if (i > 0 && delta == 0) {
-      return common::Status::CorruptedData("zero delta for non-first key");
+    if (buffer_end - cursor >= 8) [[likely]] {
+      std::memcpy(&delta, cursor, sizeof(delta));  // Little-endian host.
+      delta &= kWidthMask[symbol];
+    } else {
+      for (unsigned b = 0; b <= symbol; ++b) {
+        delta |= uint64_t{cursor[b]} << (8 * b);
+      }
     }
-    previous += delta;
-    keys->push_back(previous);
+    cursor += symbol + 1;
+    zero_delta |= (delta == 0) & (i != 0);
+    key += delta;
+    out[i] = key;
+  }
+  if (zero_delta) {
+    keys->resize(first);
+    return common::Status::CorruptedData("zero delta for non-first key");
   }
   return common::Status::Ok();
 }

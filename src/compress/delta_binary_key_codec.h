@@ -45,9 +45,23 @@ class DeltaBinaryKeyCodec {
     return Encode(keys, writer, &scratch);
   }
 
-  /// Decodes one key block written by `Encode`.
+  /// Decodes one key block written by `Encode`, appending its keys to
+  /// `keys` (whose earlier contents stay). One pass: the flag block's
+  /// widths sum to the delta block's exact length, which is bounds-checked
+  /// once; each delta is then a fixed 8-byte little-endian load masked to
+  /// its width (a byte loop for the last few, so no load passes the end
+  /// of the reader's buffer). A zero delta after the first key is
+  /// kCorruptedData, so the keys of an OK decode strictly increase. On
+  /// error `keys` keeps its earlier contents only.
+  static common::Status DecodeAppend(common::ByteReader* reader,
+                                     std::vector<uint64_t>* keys);
+
+  /// DecodeAppend into an emptied `keys`.
   static common::Status Decode(common::ByteReader* reader,
-                               std::vector<uint64_t>* keys);
+                               std::vector<uint64_t>* keys) {
+    keys->clear();
+    return DecodeAppend(reader, keys);
+  }
 
   /// Exact encoded size in bytes for `keys` without materializing it.
   static size_t EncodedSize(const std::vector<uint64_t>& keys);

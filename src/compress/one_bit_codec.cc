@@ -57,11 +57,7 @@ common::Status OneBitCodec::DecodeImpl(const EncodedGradient& in,
   SKETCHML_RETURN_IF_ERROR(reader.ReadDouble(&neg_mean));
 
   out->assign(count, {});
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t key = 0;
-    SKETCHML_RETURN_IF_ERROR(reader.ReadU32(&key));
-    (*out)[i].key = key;
-  }
+  SKETCHML_RETURN_IF_ERROR(ReadRawKeys(&reader, out));
   std::vector<uint8_t> bits(common::CeilDiv(count, 8));
   SKETCHML_RETURN_IF_ERROR(reader.ReadRaw(bits.data(), bits.size()));
   for (uint64_t i = 0; i < count; ++i) {

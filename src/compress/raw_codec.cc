@@ -42,11 +42,7 @@ common::Status RawCodec::DecodeImpl(const EncodedGradient& in,
     return common::Status::CorruptedData("implausible pair count");
   }
   out->assign(count, {});
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t key = 0;
-    SKETCHML_RETURN_IF_ERROR(reader.ReadU32(&key));
-    (*out)[i].key = key;
-  }
+  SKETCHML_RETURN_IF_ERROR(ReadRawKeys(&reader, out));
   for (uint64_t i = 0; i < count; ++i) {
     if (is_double) {
       double v = 0;

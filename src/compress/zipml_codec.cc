@@ -86,11 +86,7 @@ common::Status ZipMlCodec::DecodeImpl(const EncodedGradient& in,
   SKETCHML_RETURN_IF_ERROR(reader.ReadDouble(&hi));
 
   out->assign(count, {});
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t key = 0;
-    SKETCHML_RETURN_IF_ERROR(reader.ReadU32(&key));
-    (*out)[i].key = key;
-  }
+  SKETCHML_RETURN_IF_ERROR(ReadRawKeys(&reader, out));
   const uint64_t levels = (1ULL << bits) - 1;
   const double width = hi > lo ? (hi - lo) / static_cast<double>(levels) : 0.0;
   for (uint64_t i = 0; i < count; ++i) {

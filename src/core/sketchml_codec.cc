@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -140,13 +141,13 @@ common::Status EncodeStream(const common::SparseGradient& stream, bool negate,
   return common::Status::Ok();
 }
 
-/// Decodes one sign stream and appends its pairs (with `sign` applied)
-/// to `out`, one group at a time. Each group's keys decode strictly
-/// increasing (DeltaBinaryKeyCodec rejects anything else), so every group
-/// is a sorted run; where each ends in `out` is appended to `run_ends`.
+/// Decodes one sign stream into `scratch`: each group's keys become one
+/// run of `scratch->keys` (strictly increasing, as
+/// DeltaBinaryKeyCodec::DecodeAppend guarantees), the stream's signed
+/// bucket means extend `scratch->values`, and each key's slot points at
+/// the mean its group's sketch answers.
 common::Status DecodeStream(common::ByteReader* reader, double sign,
-                            common::SparseGradient* out,
-                            std::vector<size_t>* run_ends) {
+                            SketchMlCodec::DecodeScratch* scratch) {
   uint64_t count = 0;
   SKETCHML_RETURN_IF_ERROR(reader->ReadVarint(&count));
   if (count == 0) return common::Status::Ok();
@@ -166,24 +167,24 @@ common::Status DecodeStream(common::ByteReader* reader, double sign,
     return common::Status::CorruptedData("bucket count mismatch");
   }
 
-  uint64_t decoded = 0;
-  std::vector<uint64_t> keys;
-  std::vector<int> buckets;
-  std::vector<uint32_t> idx_scratch;
-  std::vector<uint8_t> local_scratch;
-  for (int group = 0; group < mm_sketch.num_groups(); ++group) {
-    SKETCHML_RETURN_IF_ERROR(
-        compress::DeltaBinaryKeyCodec::Decode(reader, &keys));
-    buckets.resize(keys.size());
-    mm_sketch.QueryGroupBatch(group, keys, buckets.data(), &idx_scratch,
-                              &local_scratch);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      out->push_back({keys[i], sign * quantizer.MeanOf(buckets[i])});
-    }
-    run_ends->push_back(out->size());
-    decoded += keys.size();
+  const int base = static_cast<int>(scratch->values.size());
+  for (int b = 0; b < quantizer.num_buckets(); ++b) {
+    scratch->values.push_back(sign * quantizer.MeanOf(b));
   }
-  if (decoded != count) {
+  std::vector<uint64_t>& keys = scratch->keys;
+  const size_t stream_begin = keys.size();
+  for (int group = 0; group < mm_sketch.num_groups(); ++group) {
+    const size_t begin = keys.size();
+    SKETCHML_RETURN_IF_ERROR(
+        compress::DeltaBinaryKeyCodec::DecodeAppend(reader, &keys));
+    scratch->slots.resize(keys.size());
+    int* slots = scratch->slots.data() + begin;
+    mm_sketch.QueryGroupBatch(group, std::span(keys).subspan(begin), slots,
+                              &scratch->hash_idx, &scratch->locals);
+    for (size_t i = 0; i < keys.size() - begin; ++i) slots[i] += base;
+    scratch->run_ends.push_back(keys.size());
+  }
+  if (keys.size() - stream_begin != count) {
     return common::Status::CorruptedData("stream key count mismatch");
   }
   return common::Status::Ok();
@@ -278,15 +279,22 @@ common::Status SketchMlCodec::DecodeImpl(const compress::EncodedGradient& in,
     return common::Status::CorruptedData("implausible pair count");
   }
 
-  out->clear();
-  out->reserve(total);
-  std::vector<size_t> run_ends;
-  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, +1.0, out, &run_ends));
-  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, -1.0, out, &run_ends));
-  if (out->size() != total) {
+  DecodeScratch& s = decode_scratch_;
+  s.keys.clear();
+  s.slots.clear();
+  s.values.clear();
+  s.run_ends.clear();
+  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, +1.0, &s));
+  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, -1.0, &s));
+  if (s.keys.size() != total) {
     return common::Status::CorruptedData("decoded pair count mismatch");
   }
-  common::MergeSortedRuns(out, run_ends);
+  if (!common::MergeSortedRuns(
+          s.keys, s.run_ends, [&s](size_t i) { return s.values[s.slots[i]]; },
+          out, &s.merge)) {
+    return common::Status::CorruptedData(
+        "key repeated across groups or sign streams");
+  }
   return common::Status::Ok();
 }
 
@@ -383,7 +391,8 @@ common::Status QuantileOnlyCodec::DecodeImpl(
   if (version != kWireVersion) {
     return common::Status::CorruptedData("unknown wire version");
   }
-  out->clear();
+  std::vector<uint64_t> keys;
+  std::vector<double> values;
   std::vector<size_t> run_ends;  // Each sign stream's keys are one run.
   for (int s = 0; s < 2; ++s) {
     const double sign = s == 0 ? 1.0 : -1.0;
@@ -397,23 +406,28 @@ common::Status QuantileOnlyCodec::DecodeImpl(
     SKETCHML_RETURN_IF_ERROR(
         compress::QuantileBucketQuantizer::DeserializeMeans(&reader,
                                                             &quantizer));
-    std::vector<uint64_t> keys;
+    const size_t begin = keys.size();
     SKETCHML_RETURN_IF_ERROR(
-        compress::DeltaBinaryKeyCodec::Decode(&reader, &keys));
-    if (keys.size() != count) {
+        compress::DeltaBinaryKeyCodec::DecodeAppend(&reader, &keys));
+    if (keys.size() - begin != count) {
       return common::Status::CorruptedData("key count mismatch");
     }
-    for (uint64_t key : keys) {
-      uint8_t bucket = 0;
-      SKETCHML_RETURN_IF_ERROR(reader.ReadU8(&bucket));
+    std::span<const uint8_t> buckets;
+    SKETCHML_RETURN_IF_ERROR(reader.ReadSpan(count, &buckets));
+    for (const uint8_t bucket : buckets) {
       if (bucket >= quantizer.num_buckets()) {
         return common::Status::CorruptedData("bucket index out of range");
       }
-      out->push_back({key, sign * quantizer.MeanOf(bucket)});
+      values.push_back(sign * quantizer.MeanOf(bucket));
     }
-    run_ends.push_back(out->size());
+    run_ends.push_back(keys.size());
   }
-  common::MergeSortedRuns(out, run_ends);
+  common::RunMergeScratch merge;
+  if (!common::MergeSortedRuns(
+          keys, run_ends, [&values](size_t i) { return values[i]; }, out,
+          &merge)) {
+    return common::Status::CorruptedData("key repeated across sign streams");
+  }
   return common::Status::Ok();
 }
 

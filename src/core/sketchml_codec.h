@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/sparse.h"
 #include "compress/codec.h"
 #include "compress/delta_binary_key_codec.h"
 #include "core/sketchml_config.h"
@@ -46,10 +47,14 @@ struct SpaceCost {
 ///   4. each group's (ascending) key list is delta-binary encoded (§3.4).
 ///
 /// Decode reverses it: recover keys, query the group's sketch for each
-/// key, map the bucket index to its mean, re-apply the sign.
+/// key, then write each pair once, straight to its slot in key order,
+/// as sign × the mean of its bucket (common::MergeSortedRuns).
 ///
 /// Lossy but sign- and monotonicity-safe: for every pair,
 /// |decoded| <= |quantized(original)| and sign(decoded) == sign(original).
+///
+/// Encode and Decode reuse scratch the instance owns, so one instance
+/// neither encodes nor decodes concurrently; forks own their own.
 class SketchMlCodec : public compress::GradientCodec {
  public:
   explicit SketchMlCodec(const SketchMlConfig& config = SketchMlConfig());
@@ -100,12 +105,25 @@ class SketchMlCodec : public compress::GradientCodec {
     compress::DeltaBinaryKeyCodec::EncodeScratch delta;
   };
 
+  /// Decode's counterpart: both streams' group key runs in wire order,
+  /// and per key the slot of its signed bucket mean in `values`.
+  struct DecodeScratch {
+    std::vector<uint64_t> keys;
+    std::vector<int> slots;        // < 2^21: two streams of <= 2^20 buckets.
+    std::vector<double> values;    // sign × mean, positive stream first.
+    std::vector<size_t> run_ends;  // One run per group per stream.
+    std::vector<uint32_t> hash_idx;
+    std::vector<uint8_t> locals;
+    common::RunMergeScratch merge;
+  };
+
  private:
   SketchMlConfig config_;
   SpaceCost last_space_cost_;
   uint64_t encode_calls_ = 0;
   common::ThreadPool* pool_ = nullptr;
   EncodeScratch scratch_;  // Reused across streams and calls.
+  DecodeScratch decode_scratch_;
 };
 
 /// "Adam+Key" ablation stage of Figure 8: delta-binary keys, raw double

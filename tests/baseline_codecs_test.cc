@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -81,6 +82,28 @@ TEST(RawCodecTest, DecodeRejectsTruncation) {
   msg.bytes.resize(msg.bytes.size() - 4);
   common::SparseGradient decoded;
   EXPECT_FALSE(codec.Decode(msg, &decoded).ok());
+}
+
+// The raw-key formats store keys as plain u32s, so nothing but the
+// decoder keeps a damaged message from yielding keys out of order.
+TEST(RawCodecTest, DecodeRejectsKeysOutOfOrder) {
+  RawCodec codec(ValueType::kDouble);
+  EncodedGradient msg;
+  ASSERT_TRUE(codec.Encode({{1, 0.5}, {7, -0.5}}, &msg).ok());
+  common::SparseGradient decoded;
+  ASSERT_TRUE(codec.Decode(msg, &decoded).ok());
+  // Type byte, count byte, then the two u32 keys: swap them, then repeat
+  // the first.
+  EncodedGradient swapped = msg;
+  std::swap_ranges(swapped.bytes.begin() + 2, swapped.bytes.begin() + 6,
+                   swapped.bytes.begin() + 6);
+  EXPECT_EQ(codec.Decode(swapped, &decoded).code(),
+            common::StatusCode::kCorruptedData);
+  EncodedGradient repeated = msg;
+  std::copy(repeated.bytes.begin() + 2, repeated.bytes.begin() + 6,
+            repeated.bytes.begin() + 6);
+  EXPECT_EQ(codec.Decode(repeated, &decoded).code(),
+            common::StatusCode::kCorruptedData);
 }
 
 class ZipMlBitsTest : public ::testing::TestWithParam<int> {};

@@ -79,6 +79,22 @@ TEST(ByteReaderTest, ReadPastEndFails) {
   EXPECT_FALSE(r.ReadU32(&v32).ok());
 }
 
+TEST(ByteReaderTest, ReadSpanViewsTheBufferAndChecksBounds) {
+  const std::vector<uint8_t> buf = {1, 2, 3, 4, 5};
+  ByteReader r(buf);
+  std::span<const uint8_t> span;
+  ASSERT_TRUE(r.ReadSpan(2, &span).ok());
+  EXPECT_EQ(span.data(), buf.data());
+  EXPECT_EQ(span.size(), 2u);
+  EXPECT_EQ(r.ReadSpan(4, &span).code(), StatusCode::kCorruptedData);
+  EXPECT_EQ(r.position(), 2u);  // A failed read consumes nothing.
+  ASSERT_TRUE(r.ReadSpan(3, &span).ok());
+  EXPECT_EQ(span.data(), buf.data() + 2);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(r.ReadSpan(~size_t{0}, &span).code(),
+            StatusCode::kCorruptedData);
+}
+
 TEST(ByteReaderTest, ReadUintNRejectsBadWidth) {
   std::vector<uint8_t> buf(16, 0);
   ByteReader r(buf.data(), buf.size());
@@ -189,24 +205,14 @@ TEST(TwoBitStreamTest, RoundTripsAllSymbols) {
   for (uint8_t s : symbols) w.Append(s);
   EXPECT_EQ(w.size(), symbols.size());
   EXPECT_EQ(w.bytes().size(), 3u);  // ceil(9 / 4).
-
-  TwoBitReader r(w.bytes().data(), w.bytes().size(), w.size());
-  for (uint8_t expected : symbols) {
-    uint8_t got = 0;
-    ASSERT_TRUE(r.Next(&got).ok());
-    EXPECT_EQ(got, expected);
-  }
-  uint8_t extra;
-  EXPECT_FALSE(r.Next(&extra).ok());
+  // Symbol i sits at bits 2*(i%4) of byte i/4; padding bits stay zero.
+  EXPECT_EQ(w.bytes(), (std::vector<uint8_t>{0xE4, 0x1B, 0x02}));
 }
 
 TEST(TwoBitStreamTest, EmptyStream) {
   TwoBitWriter w;
   EXPECT_EQ(w.size(), 0u);
   EXPECT_TRUE(w.bytes().empty());
-  TwoBitReader r(nullptr, 0, 0);
-  uint8_t v;
-  EXPECT_FALSE(r.Next(&v).ok());
 }
 
 }  // namespace

@@ -144,6 +144,98 @@ TEST(DeltaBinaryKeyCodecTest, DecodeRejectsCountThatOnlyFitsWithoutFlags) {
   EXPECT_EQ(decoded, expected);
 }
 
+// Decode loads deltas eight bytes at a time while the buffer allows and
+// finishes byte by byte, so a block of 4-byte deltas that ends exactly at
+// the end of the buffer exercises the tail (ASan flags any overread).
+TEST(DeltaBinaryKeyCodecTest, WideDeltasEndingAtTheBufferEndDecode) {
+  for (const size_t count : {size_t{1}, size_t{2}, size_t{3}, size_t{9}}) {
+    std::vector<uint64_t> keys;
+    for (size_t i = 0; i < count; ++i) keys.push_back((i + 1) * 16777216);
+    common::ByteWriter writer;
+    ASSERT_TRUE(DeltaBinaryKeyCodec::Encode(keys, &writer).ok());
+    const std::vector<uint8_t> bytes(writer.buffer());  // Exact size.
+    common::ByteReader reader(bytes.data(), bytes.size());
+    std::vector<uint64_t> decoded;
+    ASSERT_TRUE(DeltaBinaryKeyCodec::Decode(&reader, &decoded).ok());
+    EXPECT_EQ(decoded, keys) << "count " << count;
+    EXPECT_TRUE(reader.AtEnd());
+  }
+}
+
+TEST(DeltaBinaryKeyCodecTest, DecodeRejectsEveryTruncatedPrefix) {
+  std::vector<uint64_t> keys = {3, 300, 70000, 20000000, 20000001};
+  for (uint64_t key : RandomSortedKeys(40, 1 << 16, 17)) {
+    keys.push_back(keys.back() + 1 + key);
+  }
+  common::ByteWriter writer;
+  ASSERT_TRUE(DeltaBinaryKeyCodec::Encode(keys, &writer).ok());
+  for (size_t len = 0; len < writer.size(); ++len) {
+    const std::vector<uint8_t> prefix(writer.buffer().begin(),
+                                      writer.buffer().begin() + len);
+    common::ByteReader reader(prefix.data(), prefix.size());
+    std::vector<uint64_t> decoded;
+    EXPECT_EQ(DeltaBinaryKeyCodec::Decode(&reader, &decoded).code(),
+              common::StatusCode::kCorruptedData)
+        << "prefix " << len;
+  }
+}
+
+TEST(DeltaBinaryKeyCodecTest, DecodeRejectsAZeroDeltaAfterTheFirstKey) {
+  // Three 1-byte deltas (flag byte 0x00); only the first may be zero.
+  const auto decode = [](std::vector<uint8_t> deltas,
+                         std::vector<uint64_t>* keys) {
+    common::ByteWriter writer;
+    writer.WriteVarint(deltas.size());
+    writer.WriteU8(0x00);
+    writer.WriteBytes(deltas);
+    common::ByteReader reader(writer.buffer());
+    return DeltaBinaryKeyCodec::Decode(&reader, keys);
+  };
+  std::vector<uint64_t> keys;
+  EXPECT_EQ(decode({5, 0, 3}, &keys).code(),
+            common::StatusCode::kCorruptedData);
+  EXPECT_EQ(decode({5, 3, 0}, &keys).code(),
+            common::StatusCode::kCorruptedData);
+  ASSERT_TRUE(decode({0, 1, 2}, &keys).ok());
+  EXPECT_EQ(keys, (std::vector<uint64_t>{0, 1, 3}));
+}
+
+// The last flag byte of a count that is not a multiple of four carries
+// unused symbols. Decode must not count them toward the delta block.
+TEST(DeltaBinaryKeyCodecTest, DecodeIgnoresFlagPaddingBits) {
+  const std::vector<uint64_t> keys = {1, 300, 70000, 70001, 70002};
+  common::ByteWriter writer;
+  ASSERT_TRUE(DeltaBinaryKeyCodec::Encode(keys, &writer).ok());
+  std::vector<uint8_t> bytes = writer.buffer();
+  bytes[2] |= 0xFC;  // Count byte, one full flag byte, then keys 4..7.
+  common::ByteReader reader(bytes);
+  std::vector<uint64_t> decoded;
+  ASSERT_TRUE(DeltaBinaryKeyCodec::Decode(&reader, &decoded).ok());
+  EXPECT_EQ(decoded, keys);
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(DeltaBinaryKeyCodecTest, DecodeAppendKeepsEarlierKeys) {
+  common::ByteWriter writer;
+  ASSERT_TRUE(DeltaBinaryKeyCodec::Encode({1, 2, 300}, &writer).ok());
+  ASSERT_TRUE(DeltaBinaryKeyCodec::Encode({}, &writer).ok());
+  ASSERT_TRUE(DeltaBinaryKeyCodec::Encode({0, 9}, &writer).ok());
+  common::ByteReader reader(writer.buffer());
+  std::vector<uint64_t> keys = {70, 80};
+  for (int block = 0; block < 3; ++block) {
+    ASSERT_TRUE(DeltaBinaryKeyCodec::DecodeAppend(&reader, &keys).ok());
+  }
+  EXPECT_EQ(keys, (std::vector<uint64_t>{70, 80, 1, 2, 300, 0, 9}));
+  EXPECT_TRUE(reader.AtEnd());
+
+  // A block that fails (a zero second delta) appends nothing.
+  const std::vector<uint8_t> bad = {2, 0x00, 4, 0};
+  common::ByteReader bad_reader(bad);
+  EXPECT_EQ(DeltaBinaryKeyCodec::DecodeAppend(&bad_reader, &keys).code(),
+            common::StatusCode::kCorruptedData);
+  EXPECT_EQ(keys, (std::vector<uint64_t>{70, 80, 1, 2, 300, 0, 9}));
+}
+
 class DeltaKeyDensityTest
     : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
 

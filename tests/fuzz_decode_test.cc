@@ -1,7 +1,8 @@
 // Failure-injection tests: decoders must survive arbitrary corruption of
 // the wire bytes — truncation, random byte flips, random garbage — by
 // returning a Status (or, for undetectable flips, a decoded gradient),
-// never by crashing, hanging, or attempting giant allocations.
+// never by crashing, hanging, or attempting giant allocations. Whatever
+// an OK decode yields, its keys strictly increase.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,12 @@ common::SparseGradient MakeGradient(size_t count, uint64_t dim,
   return grad;
 }
 
+// The GradientCodec::Decode guarantee every test below checks.
+bool SortedIfOk(const common::Status& status,
+                const common::SparseGradient& decoded) {
+  return !status.ok() || common::IsSortedByKey(decoded);
+}
+
 class CodecFuzzTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CodecFuzzTest, SurvivesTruncationAtEveryPrefixLength) {
@@ -41,10 +48,10 @@ TEST_P(CodecFuzzTest, SurvivesTruncationAtEveryPrefixLength) {
   for (size_t len = 0; len < msg.bytes.size(); len += (len < 64 ? 1 : 7)) {
     EncodedGradient truncated;
     truncated.bytes.assign(msg.bytes.begin(), msg.bytes.begin() + len);
-    // The fuzz contract is only "no crash": a truncated message may fail
-    // with any code, and a prefix that happens to parse is acceptable.
-    // NOLINTNEXTLINE(sketchml-discarded-status): fuzz checks survival only.
-    (void)codec->Decode(truncated, &decoded);
+    // A truncated message may fail with any code, and a prefix that
+    // happens to parse is acceptable, if its keys are in order.
+    const common::Status status = codec->Decode(truncated, &decoded);
+    EXPECT_TRUE(SortedIfOk(status, decoded)) << "prefix " << len;
   }
 }
 
@@ -64,6 +71,7 @@ TEST_P(CodecFuzzTest, SurvivesRandomByteFlips) {
       corrupted.bytes[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
     }
     const common::Status status = codec->Decode(corrupted, &decoded);
+    EXPECT_TRUE(SortedIfOk(status, decoded)) << "trial " << trial;
     if (status.ok()) {
       // Undetectable corruption may change content but must still honor
       // basic size sanity (no billion-element explosions).
@@ -84,8 +92,8 @@ TEST_P(CodecFuzzTest, SurvivesRandomGarbage) {
       b = static_cast<uint8_t>(rng.NextBounded(256));
     }
     // As above: garbage bytes must be survived, not classified.
-    // NOLINTNEXTLINE(sketchml-discarded-status): fuzz checks survival only.
-    (void)codec->Decode(garbage, &decoded);
+    const common::Status status = codec->Decode(garbage, &decoded);
+    EXPECT_TRUE(SortedIfOk(status, decoded)) << "trial " << trial;
   }
 }
 
@@ -104,6 +112,7 @@ TEST_P(CodecFuzzTest, HugeDeclaredCountsAreRejectedCheaply) {
   // Formats whose count field sits at offset 1 must reject outright; for
   // the others the bytes parse as something tiny — either way no giant
   // allocation may happen.
+  EXPECT_TRUE(SortedIfOk(status, decoded));
   if (status.ok()) {
     EXPECT_LT(decoded.size(), 64u);
   }
@@ -125,6 +134,8 @@ TEST_P(CodecFuzzTest, SurvivesSingleBitFlipAtEveryPosition) {
       EncodedGradient corrupted = msg;
       corrupted.bytes[byte] ^= static_cast<uint8_t>(1u << bit);
       const common::Status status = codec->Decode(corrupted, &decoded);
+      EXPECT_TRUE(SortedIfOk(status, decoded))
+          << "byte " << byte << " bit " << bit;
       if (status.ok()) {
         EXPECT_LT(decoded.size(), msg.bytes.size() * 8);
       }

@@ -6,11 +6,14 @@
 #include <set>
 #include <vector>
 
+#include "common/byte_buffer.h"
 #include "common/random.h"
 #include "common/sparse.h"
 #include "common/thread_pool.h"
+#include "compress/delta_binary_key_codec.h"
 #include "compress/raw_codec.h"
 #include "core/sketchml_config.h"
+#include "sketch/grouped_min_max_sketch.h"
 
 namespace sketchml::core {
 namespace {
@@ -231,39 +234,98 @@ TEST(SketchMlCodecTest, SingleElementGradient) {
   EXPECT_NEAR(decoded[0].value, -0.125, 1e-9);
 }
 
-// Decode merges the per-group key runs of both sign streams (up to 2×G
-// sorted runs) instead of sorting them; every run shape must still come
-// out strictly increasing and equal to the sent keys.
+// Decode orders the per-group key runs of both sign streams (up to 2×G
+// sorted runs) instead of sorting them: by rank placement when the key
+// span is dense (dim = 2 × count), by a pairwise merge when it is not
+// (dim = 2^20). Every run shape must come out strictly increasing and
+// equal to the sent keys on both paths.
 TEST(SketchMlCodecTest, DecodedKeysStrictlyIncreaseForEveryRunShape) {
   common::ThreadPool pool(2);
   for (const bool pooled : {false, true}) {
     for (const int groups : {1, 8}) {
       for (const int sign : {+1, -1, 0}) {  // All positive/negative, mixed.
         for (const size_t count : {size_t{1}, size_t{60}, size_t{4000}}) {
-          SketchMlConfig config;
-          config.num_groups = groups;
-          config.seed = 500 + count;
-          SketchMlCodec codec(config);
-          // The pool only engages when both sign streams are non-empty.
-          if (pooled) codec.SetThreadPool(&pool);
-          common::SparseGradient grad =
-              MakeGradient(count, 1 << 20, 600 + count * 3 + groups);
-          if (sign != 0) {
-            for (auto& pair : grad) {
-              pair.value = sign * (std::abs(pair.value) + 1e-9);
+          for (const uint64_t dim : {uint64_t{1} << 20, 2 * count}) {
+            SketchMlConfig config;
+            config.num_groups = groups;
+            config.seed = 500 + count;
+            SketchMlCodec codec(config);
+            // The pool only engages when both sign streams are non-empty.
+            if (pooled) codec.SetThreadPool(&pool);
+            common::SparseGradient grad =
+                MakeGradient(count, dim, 600 + count * 3 + groups);
+            if (sign != 0) {
+              for (auto& pair : grad) {
+                pair.value = sign * (std::abs(pair.value) + 1e-9);
+              }
             }
+            compress::EncodedGradient msg;
+            ASSERT_TRUE(codec.Encode(grad, &msg).ok());
+            common::SparseGradient decoded;
+            ASSERT_TRUE(codec.Decode(msg, &decoded).ok());
+            EXPECT_TRUE(common::IsSortedByKey(decoded))
+                << "pooled=" << pooled << " groups=" << groups
+                << " sign=" << sign << " count=" << count << " dim=" << dim;
+            EXPECT_EQ(common::Keys(decoded), common::Keys(grad));
           }
-          compress::EncodedGradient msg;
-          ASSERT_TRUE(codec.Encode(grad, &msg).ok());
-          common::SparseGradient decoded;
-          ASSERT_TRUE(codec.Decode(msg, &decoded).ok());
-          EXPECT_TRUE(common::IsSortedByKey(decoded))
-              << "pooled=" << pooled << " groups=" << groups
-              << " sign=" << sign << " count=" << count;
-          EXPECT_EQ(common::Keys(decoded), common::Keys(grad));
         }
       }
     }
+  }
+}
+
+// A SketchML message built by hand: `pos_groups` key lists in the
+// positive stream, `neg_groups` in the negative one, two buckets per
+// stream. Decode must reject a key that two groups or streams share.
+compress::EncodedGradient HandMadeSketchMl(
+    const std::vector<std::vector<uint64_t>>& pos_groups,
+    const std::vector<std::vector<uint64_t>>& neg_groups) {
+  common::ByteWriter writer;
+  size_t total = 0;
+  for (const auto& g : pos_groups) total += g.size();
+  for (const auto& g : neg_groups) total += g.size();
+  writer.WriteU8(1);  // Wire version.
+  writer.WriteVarint(total);
+  for (const auto* groups : {&pos_groups, &neg_groups}) {
+    size_t count = 0;
+    for (const auto& g : *groups) count += g.size();
+    writer.WriteVarint(count);
+    if (count == 0) continue;
+    writer.WriteVarint(2);  // Bucket means.
+    writer.WriteFloat(0.25f);
+    writer.WriteFloat(0.5f);
+    sketch::GroupedMinMaxSketch(2, static_cast<int>(groups->size()), 1, 4)
+        .Serialize(&writer);
+    for (const auto& keys : *groups) {
+      EXPECT_TRUE(compress::DeltaBinaryKeyCodec::Encode(keys, &writer).ok());
+    }
+  }
+  compress::EncodedGradient msg;
+  msg.bytes = writer.TakeBuffer();
+  return msg;
+}
+
+TEST(SketchMlCodecTest, DecodeRejectsAKeyRepeatedAcrossGroupsOrStreams) {
+  SketchMlCodec codec;
+  common::SparseGradient decoded;
+  // Controls: the same shapes with distinct keys decode, in key order.
+  ASSERT_TRUE(codec.Decode(HandMadeSketchMl({{1, 5}, {6, 9}}, {}), &decoded)
+                  .ok());
+  EXPECT_EQ(common::Keys(decoded), (std::vector<uint64_t>{1, 5, 6, 9}));
+  ASSERT_TRUE(codec.Decode(HandMadeSketchMl({{1, 5}}, {{3}}), &decoded).ok());
+  EXPECT_EQ(common::Keys(decoded), (std::vector<uint64_t>{1, 3, 5}));
+
+  // Key 5 in two groups of one stream, then in both streams; both on a
+  // dense key span (placement) and a sparse one (merge).
+  for (const uint64_t top : {uint64_t{9}, uint64_t{1} << 20}) {
+    EXPECT_EQ(codec.Decode(HandMadeSketchMl({{1, 5}, {5, top}}, {}), &decoded)
+                  .code(),
+              common::StatusCode::kCorruptedData)
+        << "top " << top;
+    EXPECT_EQ(
+        codec.Decode(HandMadeSketchMl({{1, 5, top}}, {{5}}), &decoded).code(),
+        common::StatusCode::kCorruptedData)
+        << "top " << top;
   }
 }
 
@@ -426,6 +488,35 @@ TEST(QuantileOnlyCodecTest, KeysExactValuesQuantized) {
     den += std::pow(grad[i].value, 2);
   }
   EXPECT_LT(num / den, 0.05);
+}
+
+TEST(QuantileOnlyCodecTest, DecodeRejectsAKeyRepeatedAcrossStreams) {
+  // Version 1, then each stream: count, one bucket mean, its keys, and a
+  // bucket byte per key.
+  const auto message = [](const std::vector<uint64_t>& pos,
+                          const std::vector<uint64_t>& neg) {
+    common::ByteWriter writer;
+    writer.WriteU8(1);
+    for (const auto* keys : {&pos, &neg}) {
+      writer.WriteVarint(keys->size());
+      if (keys->empty()) continue;
+      writer.WriteVarint(1);
+      writer.WriteFloat(0.5f);
+      EXPECT_TRUE(compress::DeltaBinaryKeyCodec::Encode(*keys, &writer).ok());
+      for (size_t i = 0; i < keys->size(); ++i) writer.WriteU8(0);
+    }
+    compress::EncodedGradient msg;
+    msg.bytes = writer.TakeBuffer();
+    return msg;
+  };
+  QuantileOnlyCodec codec;
+  common::SparseGradient decoded;
+  ASSERT_TRUE(codec.Decode(message({1, 4}, {3}), &decoded).ok());
+  EXPECT_EQ(decoded, (common::SparseGradient{{1, 0.5}, {3, -0.5}, {4, 0.5}}));
+  EXPECT_EQ(codec.Decode(message({1, 3}, {3}), &decoded).code(),
+            common::StatusCode::kCorruptedData);
+  EXPECT_EQ(codec.Decode(message({1, 3, 1 << 20}, {3}), &decoded).code(),
+            common::StatusCode::kCorruptedData);
 }
 
 TEST(QuantileOnlyCodecTest, SmallerThanKeyOnlyLargerThanFull) {

@@ -23,13 +23,19 @@ TEST(SparseGradientTest, SortByKey) {
   EXPECT_DOUBLE_EQ(grad[0].value, 2.0);
 }
 
+// Runs of keys with their values, as a decoder hands them to
+// MergeSortedRuns.
+struct Runs {
+  std::vector<uint64_t> keys;
+  std::vector<double> values;
+  std::vector<size_t> ends;
+};
+
 // Cuts `sorted` (unique ascending keys) into runs of the given lengths,
 // dealing keys round-robin so the runs interleave, and shuffles the order
-// of the runs; each run stays sorted. Returns the concatenation and the
-// run ends MergeSortedRuns expects.
-SparseGradient InterleavedRuns(const SparseGradient& sorted,
-                               const std::vector<size_t>& lengths,
-                               uint64_t seed, std::vector<size_t>* run_ends) {
+// of the runs; each run stays sorted.
+Runs InterleavedRuns(const SparseGradient& sorted,
+                     const std::vector<size_t>& lengths, uint64_t seed) {
   std::vector<SparseGradient> runs(lengths.size());
   size_t next = 0;
   for (size_t placed = 0; next < sorted.size(); ++placed) {
@@ -40,27 +46,41 @@ SparseGradient InterleavedRuns(const SparseGradient& sorted,
   for (size_t i = runs.size(); i > 1; --i) {
     std::swap(runs[i - 1], runs[rng.NextBounded(i)]);
   }
-  SparseGradient out;
-  run_ends->clear();
+  Runs out;
   for (const SparseGradient& run : runs) {
-    out.insert(out.end(), run.begin(), run.end());
-    run_ends->push_back(out.size());
+    for (const GradientPair& pair : run) {
+      out.keys.push_back(pair.key);
+      out.values.push_back(pair.value);
+    }
+    out.ends.push_back(out.keys.size());
   }
   return out;
 }
 
-SparseGradient UniqueSorted(size_t count, uint64_t seed) {
+// `count` unique keys below `dim`, ascending, with Gaussian values.
+SparseGradient UniqueSorted(size_t count, uint64_t dim, uint64_t seed) {
   Rng rng(seed);
   std::set<uint64_t> keys;
-  while (keys.size() < count) keys.insert(rng.NextBounded(1 << 20));
+  while (keys.size() < count) keys.insert(rng.NextBounded(dim));
   SparseGradient out;
   for (uint64_t key : keys) out.push_back({key, rng.NextGaussian()});
   return out;
 }
 
+// Runs MergeSortedRuns on `runs`; `*dense` reports whether it took the
+// rank-placement path (the only one that fills the scratch bitmap).
+bool Merge(const Runs& runs, SparseGradient* out, bool* dense = nullptr) {
+  RunMergeScratch scratch;
+  const bool unique = MergeSortedRuns(
+      runs.keys, runs.ends, [&runs](size_t i) { return runs.values[i]; },
+      out, &scratch);
+  if (dense != nullptr) *dense = !scratch.bits.empty();
+  return unique;
+}
+
 TEST(MergeSortedRunsTest, NoRunsLeavesEmptyGradient) {
-  SparseGradient grad;
-  MergeSortedRuns(&grad, {});
+  SparseGradient grad = {{1, 2.0}};
+  EXPECT_TRUE(Merge(Runs{}, &grad));
   EXPECT_TRUE(grad.empty());
 }
 
@@ -72,20 +92,72 @@ TEST(MergeSortedRunsTest, MatchesSortByKeyOnUniqueKeys) {
       {10, 20, 30, 15, 25},          // Odd count.
       {7, 0, 13, 20, 5, 9, 11, 35},  // Eight: three merge passes.
       {0, 0, 0},                     // Only empty runs.
+      std::vector<size_t>(16, 1),    // Sixteen single-key runs.
+      {1, 200, 1, 3, 90, 2},         // Single keys beside long runs.
   };
-  for (size_t s = 0; s < shapes.size(); ++s) {
-    size_t total = 0;
-    for (size_t len : shapes[s]) total += len;
-    const SparseGradient sorted = UniqueSorted(total, 1000 + s);
-    std::vector<size_t> run_ends;
-    SparseGradient grad =
-        InterleavedRuns(sorted, shapes[s], 2000 + s, &run_ends);
-    SparseGradient reference = grad;
-    SortByKey(&reference);
-    ASSERT_EQ(reference, sorted) << "shape " << s;
-    MergeSortedRuns(&grad, run_ends);
-    EXPECT_EQ(grad, reference) << "shape " << s;
+  // Key spans: a bitmap of 2^20 keys outgrows these pair counts (merge),
+  // twice the pair count does not (placement), and 0..n-1 fills every
+  // bit from key 0.
+  enum class Span { kSparse, kDense, kFull };
+  for (const Span span : {Span::kSparse, Span::kDense, Span::kFull}) {
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      size_t total = 0;
+      for (size_t len : shapes[s]) total += len;
+      const uint64_t dim = span == Span::kSparse  ? uint64_t{1} << 20
+                           : span == Span::kDense ? 2 * total
+                                                  : total;
+      const SparseGradient sorted = UniqueSorted(total, dim, 1000 + s);
+      const Runs runs = InterleavedRuns(sorted, shapes[s], 2000 + s);
+      SparseGradient reference;
+      for (size_t i = 0; i < runs.keys.size(); ++i) {
+        reference.push_back({runs.keys[i], runs.values[i]});
+      }
+      SortByKey(&reference);
+      ASSERT_EQ(reference, sorted) << "shape " << s;
+      SparseGradient merged;
+      bool dense = false;
+      EXPECT_TRUE(Merge(runs, &merged, &dense)) << "shape " << s;
+      EXPECT_EQ(merged, reference) << "shape " << s;
+      if (total > 0) {
+        EXPECT_EQ(dense, span != Span::kSparse) << "shape " << s;
+      }
+      if (span == Span::kFull && total > 0) {
+        EXPECT_EQ(merged.front().key, 0u);
+      }
+    }
   }
+}
+
+TEST(MergeSortedRunsTest, PlacesWhileTheBitmapFitsInOneWordPerPair) {
+  // Two keys spanning 128 need two words: placement. One more key of
+  // span needs a third word, more than there are pairs: merge.
+  for (const uint64_t hi : {uint64_t{127}, uint64_t{128}}) {
+    const Runs runs{{hi}, {0.5}, {1}};
+    Runs both = runs;
+    both.keys.push_back(0);
+    both.values.push_back(-0.5);
+    both.ends.push_back(2);
+    SparseGradient merged;
+    bool dense = false;
+    ASSERT_TRUE(Merge(both, &merged, &dense));
+    EXPECT_EQ(dense, hi == 127);
+    EXPECT_EQ(merged, (SparseGradient{{0, -0.5}, {hi, 0.5}}));
+  }
+}
+
+TEST(MergeSortedRunsTest, RejectsAKeyRepeatedAcrossRunsOnBothPaths) {
+  for (const uint64_t top : {uint64_t{9}, uint64_t{1} << 20}) {
+    // Key 5 is in both runs; each run alone strictly increases.
+    const Runs runs{{0, 5, top, 5, 7}, {1, 2, 3, 4, 5}, {3, 5}};
+    SparseGradient merged;
+    bool dense = false;
+    EXPECT_FALSE(Merge(runs, &merged, &dense)) << "top " << top;
+    EXPECT_EQ(dense, top == 9);
+  }
+  // Key 0 repeated, in runs of one key each.
+  const Runs zeros{{0, 0}, {1, 2}, {1, 2}};
+  SparseGradient merged;
+  EXPECT_FALSE(Merge(zeros, &merged));
 }
 
 using Sums = std::vector<std::pair<uint64_t, double>>;
