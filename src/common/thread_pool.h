@@ -79,19 +79,26 @@ std::pair<std::shared_ptr<TaskNode>, std::future<T>> MakeTaskNode(
       pool_obs.task_wait_ns.Record(
           static_cast<double>(start_ns - raw_node->enqueue_ns));
     }
+    // Run time and task count are recorded before the promise is
+    // fulfilled, so a snapshot taken after `Get()` returns counts the task.
+    const auto record_run = [&] {
+      if (!instrumented) return;
+      pool_obs.task_run_ns.Record(static_cast<double>(obs::NowNs() - start_ns));
+      pool_obs.tasks.Increment();
+    };
     try {
       if constexpr (std::is_void_v<T>) {
         fn();
+        record_run();
         promise->set_value();
       } else {
-        promise->set_value(fn());
+        T value = fn();
+        record_run();
+        promise->set_value(std::move(value));
       }
     } catch (...) {
+      record_run();
       promise->set_exception(std::current_exception());
-    }
-    if (instrumented) {
-      pool_obs.task_run_ns.Record(static_cast<double>(obs::NowNs() - start_ns));
-      pool_obs.tasks.Increment();
     }
   };
   return {std::move(node), std::move(future)};

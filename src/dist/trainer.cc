@@ -41,6 +41,22 @@ uint8_t MagnitudeBucket(double value) {
   return static_cast<uint8_t>(std::clamp(bucket, 0, 254));
 }
 
+/// Clears a batch's dense accumulator when it leaves scope, so every early
+/// return (a worker's error, a quorum failure, a bad key, an exception)
+/// leaves it clean for the next batch. A successful batch drains it first.
+class ClearOnExit {
+ public:
+  explicit ClearOnExit(common::KeyAccumulator* acc) : acc_(acc) {}
+  ~ClearOnExit() {
+    if (acc_->touched() > 0) acc_->Clear();
+  }
+  ClearOnExit(const ClearOnExit&) = delete;
+  ClearOnExit& operator=(const ClearOnExit&) = delete;
+
+ private:
+  common::KeyAccumulator* acc_;
+};
+
 }  // namespace
 
 common::Status ValidateClusterConfig(const ClusterConfig& cluster) {
@@ -536,7 +552,11 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
           if (!r.status.ok()) return r;
           delivered = true;
           if (metrics_.enabled) accumulate_recovery(per_shard[s], decoded);
-          r.decoded.insert(r.decoded.end(), decoded.begin(), decoded.end());
+          if (r.decoded.empty()) {
+            r.decoded = std::move(decoded);
+          } else {
+            r.decoded.insert(r.decoded.end(), decoded.begin(), decoded.end());
+          }
           break;
         }
         if (!delivered) {
@@ -565,7 +585,38 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
     const int active_workers = static_cast<int>(ranges.size());
     if (active_workers == 0) continue;
 
+    // Phase 3b, first half: the driver adds each contributing worker's
+    // decoded pairs into the dense accumulator as that worker's result
+    // arrives, in fixed worker order, while later workers still run. Each
+    // key's float sum is then independent of thread count and of the
+    // order pairs arrive in within a worker (ring-sharded workers need no
+    // merge). A failed worker is skipped: its status fails the batch
+    // below. The first key past the model stops the fold; it fails the
+    // batch only after every worker status and the quorum check, and the
+    // guard leaves the accumulator clean on every failure.
     std::vector<WorkerResult> results(active_workers);
+    ClearOnExit clear_aggregate(&aggregate_);
+    common::Status key_error;
+    double fold_seconds = 0.0;
+    const auto fold = [&](int i) {
+      const WorkerResult& r = results[i];
+      if (!r.status.ok() || !r.contributes || !key_error.ok()) return;
+      watch.Restart();
+      for (const auto& pair : r.decoded) {
+        // Nothing between Decode and Apply checks the index again: a key
+        // past the model would write outside the accumulator and weights.
+        if (pair.key >= model_dim) {
+          key_error = common::Status::CorruptedData(
+              "worker " + std::to_string(ids[i]) + " decoded key " +
+              std::to_string(pair.key) + " outside model dim " +
+              std::to_string(model_dim) + " at batch " +
+              std::to_string(gbatch));
+          break;
+        }
+        aggregate_.Add(pair.key, pair.value);
+      }
+      fold_seconds += watch.Restart();
+    };
     if (pool_ != nullptr && active_workers > 1) {
       std::vector<common::TaskFuture<WorkerResult>> futures(active_workers);
       for (int i = 0; i < active_workers; ++i) {
@@ -573,10 +624,14 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
           return run_worker(ids[i], ranges[i].first, ranges[i].second);
         });
       }
-      for (int i = 0; i < active_workers; ++i) results[i] = futures[i].Get();
+      for (int i = 0; i < active_workers; ++i) {
+        results[i] = futures[i].Get();
+        fold(i);
+      }
     } else {
       for (int i = 0; i < active_workers; ++i) {
         results[i] = run_worker(ids[i], ranges[i].first, ranges[i].second);
+        fold(i);
       }
     }
     // Join the previous batch's broadcast before this batch's results
@@ -733,32 +788,14 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
                     {{"bytes", static_cast<double>(batch_bytes_up)}});
     }
 
-    // Phase 3b: average and apply the optimizer step. One serial pass
-    // adds every contributing worker's decoded pairs into the dense
-    // accumulator in fixed worker order, so each key's float sum is
-    // independent of thread count and of the order pairs arrive in within
-    // a worker (ring-sharded workers need no merge); the drain yields the
-    // aggregate in ascending key order.
+    SKETCHML_RETURN_IF_ERROR(key_error);
+
+    // Phase 3b, second half: average and apply the optimizer step. The
+    // drain yields the folded aggregate in ascending key order.
     watch.Restart();
     common::SparseGradient mean_grad;
     {
       obs::TraceSpan aggregate_span("trainer", "aggregate");
-      for (int i = 0; i < active_workers; ++i) {
-        if (!results[i].contributes) continue;
-        for (const auto& pair : results[i].decoded) {
-          // Nothing between Decode and Apply checks the index again: a key
-          // past the model would write outside the accumulator and weights.
-          if (pair.key >= model_dim) {
-            aggregate_.Clear();
-            return common::Status::CorruptedData(
-                "worker " + std::to_string(ids[i]) + " decoded key " +
-                std::to_string(pair.key) + " outside model dim " +
-                std::to_string(model_dim) + " at batch " +
-                std::to_string(gbatch));
-          }
-          aggregate_.Add(pair.key, pair.value);
-        }
-      }
       // K-of-W degradation: a degraded batch averages over the surviving
       // workers only (quorum above guarantees contributing >= 1). Fault
       // free, contributing == active_workers and this is the usual mean.
@@ -781,7 +818,8 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
       obs::TraceSpan update_span("trainer", "update");
       optimizer_->Apply(mean_grad);
     }
-    const double update_elapsed = watch.Restart() * cluster_.codec_scale;
+    const double update_elapsed =
+        (fold_seconds + watch.Restart()) * cluster_.codec_scale;
     stats.update_seconds += update_elapsed;
     if (metrics_.enabled && update_elapsed > 0.0) {
       metrics_.driver_update.Add(update_elapsed);
@@ -809,13 +847,13 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
       stats.messages > 0 ? total_nnz / static_cast<double>(stats.messages)
                          : 0.0;
   stats.train_loss = ml::ComputeMeanLoss(*loss_, optimizer_->weights(),
-                                         *train_, config_.lambda);
+                                         *train_, config_.lambda, pool_.get());
   if (test_ != nullptr && config_.evaluate_test_loss) {
-    stats.test_loss =
-        ml::ComputeMeanLoss(*loss_, optimizer_->weights(), *test_, 0.0);
+    stats.test_loss = ml::ComputeMeanLoss(*loss_, optimizer_->weights(),
+                                          *test_, 0.0, pool_.get());
   }
-  // The last broadcast overlapped the loss evaluation, which only reads
-  // the weights.
+  // The last broadcast overlapped the loss evaluation, whose pool chunks
+  // only read the weights.
   SKETCHML_RETURN_IF_ERROR(FoldBroadcast(&broadcast, &stats));
   simulated_seconds_ += stats.TotalSeconds();
 

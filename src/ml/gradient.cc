@@ -1,6 +1,10 @@
 #include "ml/gradient.h"
 
+#include <utility>
+#include <vector>
+
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "ml/csr_matrix.h"
 
 namespace sketchml::ml {
@@ -75,18 +79,38 @@ common::SparseGradient ComputeBatchGradientCsr(const Loss& loss,
 }
 
 double ComputeMeanLoss(const Loss& loss, const DenseVector& w,
-                       const Dataset& data, double lambda) {
-  if (data.size() == 0) return 0.0;
-  double total = 0.0;
-  for (const auto& x : data.instances()) {
-    total += loss.PointLoss(Dot(w, x), x.label);
+                       const Dataset& data, double lambda,
+                       common::ThreadPool* pool) {
+  const size_t n = data.size();
+  if (n == 0) return 0.0;
+  const size_t chunks =
+      pool != nullptr ? static_cast<size_t>(pool->num_threads()) : 1;
+  std::vector<double> point_loss(n);
+  {
+    std::vector<common::TaskFuture<void>> tasks;
+    tasks.reserve(chunks);
+    for (size_t c = 0; c < chunks; ++c) {
+      auto chunk = [&, lo = n * c / chunks, hi = n * (c + 1) / chunks] {
+        for (size_t i = lo; i < hi; ++i) {
+          const Instance& x = data.instances()[i];
+          point_loss[i] = loss.PointLoss(Dot(w, x), x.label);
+        }
+      };
+      tasks.push_back(pool != nullptr ? pool->Submit(std::move(chunk))
+                                      : common::Deferred(std::move(chunk)));
+    }
+    // Newest first: the pool starts tasks in FIFO order, so the caller
+    // most likely claims a chunk no worker has started yet.
+    for (auto it = tasks.rbegin(); it != tasks.rend(); ++it) it->Get();
   }
+  double total = 0.0;
+  for (const double point : point_loss) total += point;
   double reg = 0.0;
   if (lambda > 0.0) {
     for (double wi : w) reg += wi * wi;
     reg *= lambda / 2.0;
   }
-  return total / static_cast<double>(data.size()) + reg;
+  return total / static_cast<double>(n) + reg;
 }
 
 double ComputeAccuracy(const DenseVector& w, const Dataset& data) {

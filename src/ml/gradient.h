@@ -8,6 +8,10 @@
 #include "ml/loss.h"
 #include "ml/types.h"
 
+namespace sketchml::common {
+class ThreadPool;
+}  // namespace sketchml::common
+
 namespace sketchml::ml {
 
 /// Computes the mini-batch gradient of `loss` over instances
@@ -23,9 +27,15 @@ common::SparseGradient ComputeBatchGradient(const Loss& loss,
                                             size_t end, double lambda);
 
 /// Mean loss of `w` over all of `data` plus the ℓ2 penalty
-/// (lambda/2)||w||^2 evaluated over touched dimensions of the dataset.
+/// (lambda/2)||w||^2 over every weight.
+///
+/// The instances split into one chunk per `pool` thread, each a pool task
+/// writing its per-instance losses into one buffer (without a pool, one
+/// chunk runs inline). The buffer is then summed in instance order, so
+/// the result is bit-identical with or without a pool, at any size.
 double ComputeMeanLoss(const Loss& loss, const DenseVector& w,
-                       const Dataset& data, double lambda);
+                       const Dataset& data, double lambda,
+                       common::ThreadPool* pool = nullptr);
 
 /// Classification accuracy (sign of margin vs ±1 label) of `w` on `data`.
 double ComputeAccuracy(const DenseVector& w, const Dataset& data);

@@ -145,5 +145,58 @@ TEST(GradientTest, ConcurrentCallsFromThreadPool) {
   }
 }
 
+// The serial left fold ComputeMeanLoss must reproduce bit for bit: each
+// point loss added in instance order, then the mean plus the ℓ2 term.
+double LeftFoldMeanLoss(const Loss& loss, const DenseVector& w,
+                        const Dataset& data, double lambda) {
+  if (data.size() == 0) return 0.0;
+  double total = 0.0;
+  for (const Instance& x : data.instances()) {
+    total += loss.PointLoss(Dot(w, x), x.label);
+  }
+  double reg = 0.0;
+  if (lambda > 0.0) {
+    for (double wi : w) reg += wi * wi;
+    reg *= lambda / 2.0;
+  }
+  return total / static_cast<double>(data.size()) + reg;
+}
+
+TEST(GradientTest, MeanLossMatchesSerialLeftFoldWithAnyPool) {
+  // Sizes: empty, one instance, fewer instances than an 8-thread pool's
+  // chunks, a count no chunk count divides, and one large enough that a
+  // chunk-wise partial sum would round differently.
+  SyntheticConfig config;
+  config.num_instances = 5003;
+  config.dim = 1 << 12;
+  config.avg_nnz = 25;
+  config.seed = 41;
+  const Dataset all = GenerateSynthetic(config);
+  const DenseVector w = RandomWeights(all.dim(), 0.3, 43);
+  std::vector<std::unique_ptr<common::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const int threads : {1, 2, 8}) {
+    pools.push_back(std::make_unique<common::ThreadPool>(threads));
+  }
+  for (const std::string name : {"lr", "svm"}) {
+    const auto loss = MakeLoss(name);
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{37},
+                           all.size()}) {
+      const Dataset data(std::vector<Instance>(all.instances().begin(),
+                                               all.instances().begin() + n),
+                         all.dim());
+      for (const double lambda : {0.0, 0.01}) {
+        const double expected = LeftFoldMeanLoss(*loss, w, data, lambda);
+        for (const auto& pool : pools) {
+          EXPECT_EQ(ComputeMeanLoss(*loss, w, data, lambda, pool.get()),
+                    expected)
+              << name << " n=" << n << " lambda=" << lambda << " threads="
+              << (pool ? pool->num_threads() : 0);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sketchml::ml

@@ -11,6 +11,7 @@
 
 #include "compress/raw_codec.h"
 #include "core/codec_factory.h"
+#include "dist/fault.h"
 #include "dist/network_model.h"
 #include "ml/loss.h"
 #include "ml/synthetic.h"
@@ -43,10 +44,12 @@ std::unique_ptr<compress::GradientCodec> Codec(const std::string& name) {
 // Sends like adam-double, but while `poison` is set, lane kBadLane's
 // decoder corrupts what it hands the driver: kKeyPastModel appends key
 // `dim`, an index past the model; kInfinity decodes the first value as
-// +inf. The server/broadcast lane (not a fork) never does.
+// +inf; kKeyPastModelThenUndecodable appends key `dim` and has lane
+// kBadLane + 1 reject its message. The server/broadcast lane (not a fork)
+// never does.
 class PoisonedLaneCodec : public compress::GradientCodec {
  public:
-  enum Poison { kKeyPastModel, kInfinity };
+  enum Poison { kKeyPastModel, kInfinity, kKeyPastModelThenUndecodable };
   static constexpr int64_t kBadLane = 2;
 
   PoisonedLaneCodec(uint64_t dim, std::shared_ptr<std::atomic<bool>> poison,
@@ -68,8 +71,12 @@ class PoisonedLaneCodec : public compress::GradientCodec {
   common::Status DecodeImpl(const compress::EncodedGradient& in,
                             common::SparseGradient* out) override {
     SKETCHML_RETURN_IF_ERROR(raw_.Decode(in, out));
-    if (lane_ != kBadLane || !poison_->load()) return common::Status::Ok();
-    if (kind_ == kKeyPastModel) {
+    if (!poison_->load()) return common::Status::Ok();
+    if (kind_ == kKeyPastModelThenUndecodable && lane_ == kBadLane + 1) {
+      return common::Status::CorruptedData("lane 3 cannot decode");
+    }
+    if (lane_ != kBadLane) return common::Status::Ok();
+    if (kind_ != kInfinity) {
       out->push_back({dim_, 1.0});
     } else if (!out->empty()) {
       out->front().value = std::numeric_limits<double>::infinity();
@@ -88,36 +95,178 @@ class PoisonedLaneCodec : public compress::GradientCodec {
 TEST(TrainerTest, DecodedKeyOutsideModelFailsBatchAndLeavesAggregateClean) {
   Fixture f;
   const uint64_t dim = f.train->dim();
-  auto poison = std::make_shared<std::atomic<bool>>(true);
-  ClusterConfig cluster;
-  cluster.num_workers = 4;
-  TrainerConfig config;
-  config.num_threads = 2;
-  config.evaluate_test_loss = false;
-  DistributedTrainer trainer(f.train.get(), f.test.get(), f.loss.get(),
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    auto poison = std::make_shared<std::atomic<bool>>(true);
+    ClusterConfig cluster;
+    cluster.num_workers = 4;
+    TrainerConfig config;
+    config.num_threads = threads;
+    config.evaluate_test_loss = false;
+    DistributedTrainer trainer(f.train.get(), f.test.get(), f.loss.get(),
+                               std::make_unique<PoisonedLaneCodec>(dim, poison),
+                               cluster, config);
+    const auto failed = trainer.RunEpoch();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), common::StatusCode::kCorruptedData);
+    const std::string& message = failed.status().message();
+    EXPECT_NE(message.find("worker 2"), std::string::npos) << message;
+    EXPECT_NE(message.find("key " + std::to_string(dim)), std::string::npos)
+        << message;
+
+    // The bad key came after workers 0-2's valid pairs were summed, and the
+    // batch failed before the optimizer step. With the accumulator left
+    // clean, the next epoch is exactly a fresh trainer's first.
+    poison->store(false);
+    const auto recovered = trainer.RunEpoch();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    DistributedTrainer fresh(f.train.get(), f.test.get(), f.loss.get(),
                              std::make_unique<PoisonedLaneCodec>(dim, poison),
                              cluster, config);
-  const auto failed = trainer.RunEpoch();
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), common::StatusCode::kCorruptedData);
-  const std::string& message = failed.status().message();
-  EXPECT_NE(message.find("worker 2"), std::string::npos) << message;
-  EXPECT_NE(message.find("key " + std::to_string(dim)), std::string::npos)
-      << message;
+    const auto reference = fresh.RunEpoch();
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(recovered->train_loss, reference->train_loss);
+    EXPECT_EQ(trainer.optimizer().weights(), fresh.optimizer().weights());
+  }
+}
 
-  // The bad key came after workers 0-2's valid pairs were summed, and the
-  // batch failed before the optimizer step. With the accumulator left
-  // clean, the next epoch is exactly a fresh trainer's first.
-  poison->store(false);
-  const auto recovered = trainer.RunEpoch();
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  DistributedTrainer fresh(f.train.get(), f.test.get(), f.loss.get(),
-                           std::make_unique<PoisonedLaneCodec>(dim, poison),
-                           cluster, config);
-  const auto reference = fresh.RunEpoch();
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  EXPECT_EQ(recovered->train_loss, reference->train_loss);
-  EXPECT_EQ(trainer.optimizer().weights(), fresh.optimizer().weights());
+TEST(TrainerTest, LaterWorkersDecodeErrorOutranksAnEarlierKeyPastModel) {
+  // Worker statuses fail a batch before its aggregate does: worker 2's
+  // key past the model is folded (and refused) while worker 3 may still
+  // run, but the batch reports worker 3's decode error.
+  Fixture f;
+  const uint64_t dim = f.train->dim();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ClusterConfig cluster;
+    cluster.num_workers = 4;
+    TrainerConfig config;
+    config.num_threads = threads;
+    config.evaluate_test_loss = false;
+    DistributedTrainer trainer(
+        f.train.get(), nullptr, f.loss.get(),
+        std::make_unique<PoisonedLaneCodec>(
+            dim, std::make_shared<std::atomic<bool>>(true),
+            PoisonedLaneCodec::kKeyPastModelThenUndecodable),
+        cluster, config);
+    const auto result = trainer.RunEpoch();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), common::StatusCode::kCorruptedData);
+    EXPECT_EQ(result.status().message(), "lane 3 cannot decode");
+  }
+}
+
+// Sends like adam-double, but lane PoisonedLaneCodec::kBadLane appends key
+// `dim`, past the model, to the message it decodes `nth` (counting from
+// 0; a negative `nth` never fires) and sets `fired`.
+class NthDecodePoisonCodec : public compress::GradientCodec {
+ public:
+  NthDecodePoisonCodec(uint64_t dim, int64_t nth,
+                       std::shared_ptr<std::atomic<bool>> fired,
+                       int64_t lane = -1)
+      : dim_(dim), nth_(nth), fired_(std::move(fired)), lane_(lane) {}
+
+  std::string Name() const override { return "nth-decode-poison"; }
+  bool IsLossless() const override { return true; }
+  std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {
+    return std::make_unique<NthDecodePoisonCodec>(dim_, nth_, fired_,
+                                                  static_cast<int64_t>(lane));
+  }
+
+ protected:
+  common::Status EncodeImpl(const common::SparseGradient& grad,
+                            compress::EncodedGradient* out) override {
+    return raw_.Encode(grad, out);
+  }
+  common::Status DecodeImpl(const compress::EncodedGradient& in,
+                            common::SparseGradient* out) override {
+    SKETCHML_RETURN_IF_ERROR(raw_.Decode(in, out));
+    if (lane_ == PoisonedLaneCodec::kBadLane && decodes_++ == nth_) {
+      out->push_back({dim_, 1.0});
+      fired_->store(true);
+    }
+    return common::Status::Ok();
+  }
+
+ private:
+  compress::RawCodec raw_;
+  uint64_t dim_;
+  int64_t nth_;
+  std::shared_ptr<std::atomic<bool>> fired_;
+  int64_t lane_;
+  int64_t decodes_ = 0;
+};
+
+TEST(TrainerTest, QuorumFailureOutranksAKeyPastModelAndRollsBackClean) {
+  // Crash faults against a quorum of all four workers, with epoch
+  // checkpoints: a batch with any worker down fails kUnavailable and the
+  // epoch rolls back. Lane 2 decodes a key past the model in the first
+  // such batch it still contributes to. The quorum failure must win (a
+  // kCorruptedData would end the run), and the pairs folded before it
+  // must leave no trace: the run equals the serial run without the key.
+  Fixture f;
+  const uint64_t dim = f.train->dim();
+  ASSERT_EQ(f.train->size(), 1500u);
+  const uint64_t batches_per_epoch = 10;  // Batch ratio 0.1.
+  const int kBad = static_cast<int>(PoisonedLaneCodec::kBadLane);
+  ClusterConfig cluster;
+  cluster.num_workers = 4;
+  cluster.faults.crash_prob = 0.01;
+  cluster.faults.min_quorum = 4;
+  cluster.membership.checkpoint_every = 1;
+  cluster.membership.max_rollbacks = 8;
+  // A seed whose first epoch loses no worker (it has no checkpoint to roll
+  // back to) and whose first crash comes in epoch 2 with lane 2 up. Every
+  // earlier batch had all four workers up, and each ran once, so lane 2
+  // decoded one message per earlier batch.
+  int64_t nth = -1;
+  for (uint64_t seed = 1; seed <= 200 && nth < 0; ++seed) {
+    cluster.faults.seed = seed;
+    const FaultInjector injector(cluster.faults);
+    for (uint64_t batch = 0; batch < 2 * batches_per_epoch; ++batch) {
+      bool any_down = false;
+      for (int w = 0; w < cluster.num_workers; ++w) {
+        any_down = any_down || injector.WorkerCrashed(batch, w);
+      }
+      if (!any_down) continue;
+      if (batch >= batches_per_epoch && !injector.WorkerCrashed(batch, kBad)) {
+        nth = static_cast<int64_t>(batch);
+      }
+      break;
+    }
+  }
+  ASSERT_GE(nth, 0) << "no seed in [1, 200] sinks a batch of epoch 2 below "
+                       "quorum with lane 2 up";
+
+  TrainerConfig config;
+  config.evaluate_test_loss = false;
+  const auto run = [&](int threads, int64_t poisoned_decode) {
+    config.num_threads = threads;
+    auto fired = std::make_shared<std::atomic<bool>>(false);
+    DistributedTrainer trainer(
+        f.train.get(), nullptr, f.loss.get(),
+        std::make_unique<NthDecodePoisonCodec>(dim, poisoned_decode, fired),
+        cluster, config);
+    auto epochs = trainer.Run(2);
+    EXPECT_TRUE(epochs.ok()) << epochs.status().ToString();
+    EXPECT_GT(trainer.rollbacks_used(), 0);
+    EXPECT_EQ(fired->load(), poisoned_decode >= 0);
+    return std::make_pair(epochs.ok() ? *epochs : std::vector<EpochStats>{},
+                          trainer.optimizer().weights());
+  };
+  const auto [serial_epochs, serial_weights] = run(1, -1);
+  ASSERT_EQ(serial_epochs.size(), 2u);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const auto [epochs, weights] = run(threads, nth);
+    ASSERT_EQ(epochs.size(), 2u);
+    for (size_t e = 0; e < epochs.size(); ++e) {
+      EXPECT_EQ(epochs[e].rollbacks, serial_epochs[e].rollbacks);
+      EXPECT_EQ(epochs[e].train_loss, serial_epochs[e].train_loss);
+      EXPECT_EQ(epochs[e].bytes_up, serial_epochs[e].bytes_up);
+    }
+    EXPECT_EQ(weights, serial_weights);
+  }
 }
 
 TEST(TrainerTest, NonFiniteAggregateFailsBatchBeforeTheUpdate) {
