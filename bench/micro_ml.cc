@@ -1,11 +1,10 @@
-// Micro-benchmarks for the ML substrate: AoS vs CSR gradient kernels,
+// Micro-benchmarks for the ML substrate: the batch gradient kernel,
 // Adam application, loss evaluation, and synthetic-data generation
 // throughput. Engineering baselines, not paper figures.
 
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
-#include "ml/csr_matrix.h"
 #include "ml/gradient.h"
 #include "ml/loss.h"
 #include "ml/optimizer.h"
@@ -45,19 +44,6 @@ void BM_BatchGradientAos(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2000);
 }
 BENCHMARK(BM_BatchGradientAos);
-
-void BM_BatchGradientCsr(benchmark::State& state) {
-  const auto& data = TestData();
-  const auto matrix = ml::CsrMatrix::FromDataset(data);
-  const auto w = RandomWeights(data.dim());
-  ml::LogisticLoss loss;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ml::ComputeBatchGradientCsr(loss, w, matrix, 0, 2000, 0.01));
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_BatchGradientCsr);
 
 void BM_AdamApply(benchmark::State& state) {
   const auto& data = TestData();

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the sketch substrate: insert
-// and query throughput of the KLL and GK quantile sketches, Count-Min,
-// and MinMaxSketch. Not a paper figure — the engineering baseline that
+// and query throughput of the KLL quantile sketch, Count-Min, and
+// MinMaxSketch. Not a paper figure — the engineering baseline that
 // shows the encode path is compute-cheap relative to network transfer.
 
 #include <benchmark/benchmark.h>
@@ -9,7 +9,6 @@
 
 #include "common/random.h"
 #include "sketch/count_min_sketch.h"
-#include "sketch/gk_sketch.h"
 #include "sketch/grouped_min_max_sketch.h"
 #include "sketch/kll_sketch.h"
 #include "sketch/min_max_sketch.h"
@@ -58,17 +57,6 @@ void BM_KllEqualDepthSplits(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KllEqualDepthSplits);
-
-void BM_GkUpdate(benchmark::State& state) {
-  const auto values = RandomValues(1 << 14);
-  for (auto _ : state) {
-    sketch::GkSketch sketch(0.01);
-    for (double v : values) sketch.Update(v);
-    benchmark::DoNotOptimize(sketch.Count());
-  }
-  state.SetItemsProcessed(state.iterations() * values.size());
-}
-BENCHMARK(BM_GkUpdate);
 
 void BM_CountMinAdd(benchmark::State& state) {
   sketch::CountMinSketch sketch(2, 1 << 16);

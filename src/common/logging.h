@@ -73,9 +73,9 @@ class NullStream {
 #define SKETCHML_CHECK_GE(a, b) SKETCHML_CHECK((a) >= (b))
 
 /// Debug-only contract assertion for structural invariants that are too
-/// expensive (or too hot) to verify on every release-mode call: GK band
-/// bounds after compress, KLL level-weight conservation, byte-cursor
-/// accounting, thread-pool task counts.
+/// expensive (or too hot) to verify on every release-mode call: KLL
+/// level-weight conservation, byte-cursor accounting, thread-pool task
+/// counts.
 ///
 /// Enabled by building with -DSKETCHML_DCHECK=ON (the `checked` CMake
 /// preset). In release builds the condition is type-checked but NEVER

@@ -1,64 +1,6 @@
 #include "common/murmur_hash.h"
 
-#include <cstring>
-
 namespace sketchml::common {
-namespace {
-
-inline uint32_t Rotl32(uint32_t x, int8_t r) {
-  return (x << r) | (x >> (32 - r));
-}
-
-inline uint32_t FMix32(uint32_t h) {
-  h ^= h >> 16;
-  h *= 0x85ebca6b;
-  h ^= h >> 13;
-  h *= 0xc2b2ae35;
-  h ^= h >> 16;
-  return h;
-}
-
-}  // namespace
-
-uint32_t MurmurHash3_32(const void* data, size_t len, uint32_t seed) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  const size_t nblocks = len / 4;
-
-  uint32_t h1 = seed;
-  const uint32_t c1 = 0xcc9e2d51;
-  const uint32_t c2 = 0x1b873593;
-
-  for (size_t i = 0; i < nblocks; ++i) {
-    uint32_t k1;
-    std::memcpy(&k1, bytes + i * 4, sizeof(k1));
-    k1 *= c1;
-    k1 = Rotl32(k1, 15);
-    k1 *= c2;
-    h1 ^= k1;
-    h1 = Rotl32(h1, 13);
-    h1 = h1 * 5 + 0xe6546b64;
-  }
-
-  const uint8_t* tail = bytes + nblocks * 4;
-  uint32_t k1 = 0;
-  switch (len & 3) {
-    case 3:
-      k1 ^= static_cast<uint32_t>(tail[2]) << 16;
-      [[fallthrough]];
-    case 2:
-      k1 ^= static_cast<uint32_t>(tail[1]) << 8;
-      [[fallthrough]];
-    case 1:
-      k1 ^= tail[0];
-      k1 *= c1;
-      k1 = Rotl32(k1, 15);
-      k1 *= c2;
-      h1 ^= k1;
-  }
-
-  h1 ^= static_cast<uint32_t>(len);
-  return FMix32(h1);
-}
 
 uint64_t MurmurMix64(uint64_t key, uint64_t seed) {
   uint64_t h = key ^ (seed * 0x9e3779b97f4a7c15ULL);

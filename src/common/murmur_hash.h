@@ -6,9 +6,6 @@
 
 namespace sketchml::common {
 
-/// MurmurHash3 x86_32 over an arbitrary byte buffer.
-uint32_t MurmurHash3_32(const void* data, size_t len, uint32_t seed);
-
 /// MurmurHash3 finalizer applied to a 64-bit key. Cheap, well-mixed hash
 /// for integer gradient keys; distinct `seed`s give (empirically)
 /// independent hash functions.

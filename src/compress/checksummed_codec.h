@@ -21,7 +21,6 @@ class ChecksummedCodec : public GradientCodec {
       : inner_(std::move(inner)) {}
 
   std::string Name() const override { return inner_->Name() + "+crc"; }
-  bool IsLossless() const override { return inner_->IsLossless(); }
 
   std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {
     return std::make_unique<ChecksummedCodec>(inner_->Fork(lane));

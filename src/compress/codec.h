@@ -49,19 +49,18 @@ class GradientCodec {
   /// Human-readable codec name (e.g. "sketchml", "zipml-16bit").
   virtual std::string Name() const = 0;
 
-  /// True when `Decode(Encode(g)) == g` bit-exactly.
-  virtual bool IsLossless() const = 0;
-
   /// Serializes `grad` into `out`. `grad` must be sorted by key with
   /// strictly increasing keys; returns InvalidArgument otherwise.
   [[nodiscard]] common::Status Encode(const common::SparseGradient& grad,
                                       EncodedGradient* out);
 
-  /// Reconstructs a gradient from `in`. Keys are exact; values are exact
-  /// iff `IsLossless()`. The keys of an OK decode strictly increase, as
-  /// `Encode` requires of its input: a message whose keys do not (one
-  /// out of order, or repeated across a format's groups or streams) is
-  /// kCorruptedData.
+  /// Reconstructs a gradient from `in`. Keys are exact. Values are exact
+  /// for the lossless formats ("adam-double", "adam+key", "huffman",
+  /// "rle", and the "+crc"/"+ef" decorators over one of them); the other
+  /// formats approximate them. The keys of an OK decode strictly
+  /// increase, as `Encode` requires of its input: a message whose keys do
+  /// not (one out of order, or repeated across a format's groups or
+  /// streams) is kCorruptedData.
   ///
   /// Hardening contract: `in` may be arbitrary bytes off the wire
   /// (truncated, bit-flipped, pure garbage). Implementations must bounds-

@@ -31,7 +31,6 @@ class ErrorFeedbackCodec : public GradientCodec {
       : inner_(std::move(inner)) {}
 
   std::string Name() const override { return inner_->Name() + "+ef"; }
-  bool IsLossless() const override { return inner_->IsLossless(); }
 
   /// Forks start with an empty residual — exactly the per-sender state a
   /// fresh worker would hold.

@@ -48,7 +48,6 @@ class LosslessGradientCodec : public GradientCodec {
   explicit LosslessGradientCodec(std::string name) : name_(std::move(name)) {}
 
   std::string Name() const override { return name_; }
-  bool IsLossless() const override { return true; }
 
   /// Stateless: a fork is a plain copy.
   std::unique_ptr<GradientCodec> Fork(uint64_t /*lane*/) const override {

@@ -16,7 +16,6 @@ namespace sketchml::compress {
 class OneBitCodec : public GradientCodec {
  public:
   std::string Name() const override { return "onebit"; }
-  bool IsLossless() const override { return false; }
 
   /// Stateless: a fork is a plain copy.
   std::unique_ptr<GradientCodec> Fork(uint64_t /*lane*/) const override {

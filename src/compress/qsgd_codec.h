@@ -25,7 +25,6 @@ class QsgdCodec : public GradientCodec {
   explicit QsgdCodec(int levels = 255, uint64_t seed = 19);
 
   std::string Name() const override { return "qsgd"; }
-  bool IsLossless() const override { return false; }
 
   /// Fresh instance on a decorrelated seed lane (see common::LaneSeed).
   std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {

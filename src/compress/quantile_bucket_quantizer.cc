@@ -6,22 +6,15 @@
 #include "common/metrics_registry.h"
 #include "common/obs.h"
 #include "common/simd.h"
-#include "sketch/gk_sketch.h"
 #include "sketch/kll_sketch.h"
 
 namespace sketchml::compress {
 
 QuantileBucketQuantizer QuantileBucketQuantizer::Build(
     const std::vector<double>& values, int num_buckets, int sketch_k,
-    uint64_t seed, Backend backend) {
+    uint64_t seed) {
   SKETCHML_CHECK(!values.empty());
   SKETCHML_CHECK_GT(num_buckets, 0);
-  if (backend == Backend::kGk) {
-    sketch::GkSketch sketch(
-        std::min(0.4, 1.0 / (2.0 * static_cast<double>(sketch_k))));
-    sketch.UpdateAll(values);
-    return QuantileBucketQuantizer(sketch.EqualDepthSplits(num_buckets));
-  }
   sketch::KllSketch sketch(sketch_k, seed);
   sketch.UpdateAll(values);
   return QuantileBucketQuantizer(sketch.EqualDepthSplits(num_buckets));

@@ -24,20 +24,13 @@ namespace sketchml::compress {
 /// d/(4q) * (phi_min^2 + phi_max^2).
 class QuantileBucketQuantizer {
  public:
-  /// Which streaming quantile sketch supplies the splits.
-  enum class Backend {
-    kKll,  // Randomized merging sketch (DataSketches-style; default).
-    kGk,   // Deterministic Greenwald-Khanna [16].
-  };
-
-  /// Builds splits for `values` using a quantile sketch of size
-  /// `sketch_k` (the paper defaults to 128) and `num_buckets` equal-depth
-  /// buckets (paper's q, <= 256 so indexes fit one byte). `values` must be
-  /// non-empty. For `kGk`, `sketch_k` maps to epsilon = 1 / (2 k).
+  /// Builds splits for `values` using a KLL quantile sketch of size
+  /// `sketch_k` (the paper defaults to 128) seeded with `seed`, and
+  /// `num_buckets` equal-depth buckets (paper's q, <= 256 so indexes fit
+  /// one byte). `values` must be non-empty.
   static QuantileBucketQuantizer Build(const std::vector<double>& values,
                                        int num_buckets, int sketch_k = 128,
-                                       uint64_t seed = 1,
-                                       Backend backend = Backend::kKll);
+                                       uint64_t seed = 1);
 
   /// Builds directly from precomputed splits (num_buckets = splits-1).
   explicit QuantileBucketQuantizer(std::vector<double> splits);

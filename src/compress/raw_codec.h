@@ -23,7 +23,6 @@ class RawCodec : public GradientCodec {
   std::string Name() const override {
     return value_type_ == ValueType::kDouble ? "adam-double" : "adam-float";
   }
-  bool IsLossless() const override { return value_type_ == ValueType::kDouble; }
 
   /// Stateless: a fork is a plain copy.
   std::unique_ptr<GradientCodec> Fork(uint64_t /*lane*/) const override {

@@ -30,7 +30,6 @@ class ZipMlCodec : public GradientCodec {
   std::string Name() const override {
     return "zipml-" + std::to_string(bits_) + "bit";
   }
-  bool IsLossless() const override { return false; }
 
   /// Fresh instance on a decorrelated seed lane (see common::LaneSeed).
   std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {

@@ -58,22 +58,6 @@ common::Result<std::unique_ptr<compress::GradientCodec>> MakeCodec(
   return common::Status::NotFound("unknown codec: " + name);
 }
 
-common::Result<std::vector<std::unique_ptr<compress::GradientCodec>>>
-MakeCodecBank(const std::string& name, int lanes,
-              const SketchMlConfig& config) {
-  if (lanes <= 0) {
-    return common::Status::InvalidArgument("lanes must be positive");
-  }
-  SKETCHML_ASSIGN_OR_RETURN(std::unique_ptr<compress::GradientCodec> proto,
-                            MakeCodec(name, config));
-  std::vector<std::unique_ptr<compress::GradientCodec>> bank;
-  bank.reserve(lanes);
-  for (int lane = 0; lane < lanes; ++lane) {
-    bank.push_back(proto->Fork(static_cast<uint64_t>(lane)));
-  }
-  return bank;
-}
-
 std::vector<std::string> KnownCodecNames() {
   return {"adam-double", "adam-float",  "adam+key",    "adam+key+quan",
           "sketchml",    "zipml-8bit",  "zipml-16bit", "onebit",

@@ -25,15 +25,6 @@ namespace sketchml::core {
 common::Result<std::unique_ptr<compress::GradientCodec>> MakeCodec(
     const std::string& name, const SketchMlConfig& config = SketchMlConfig());
 
-/// Builds `lanes` independent instances of codec `name`, one per parallel
-/// seed lane (lane i holds seed `common::LaneSeed(config.seed, i)` for
-/// seeded codecs). Each instance owns its message counter, so concurrent
-/// simulated workers produce deterministic byte streams regardless of how
-/// their Encode calls interleave. Fails if the codec is unknown.
-common::Result<std::vector<std::unique_ptr<compress::GradientCodec>>>
-MakeCodecBank(const std::string& name, int lanes,
-              const SketchMlConfig& config = SketchMlConfig());
-
 /// All names `MakeCodec` accepts, in presentation order.
 std::vector<std::string> KnownCodecNames();
 

@@ -30,7 +30,6 @@
 #include "core/sketchml_codec.h"
 #include "core/sketchml_config.h"
 #include "sketch/count_min_sketch.h"
-#include "sketch/gk_sketch.h"
 #include "sketch/grouped_min_max_sketch.h"
 #include "sketch/kll_sketch.h"
 #include "sketch/min_max_sketch.h"

@@ -39,13 +39,6 @@ int TotalCols(const SketchMlConfig& config, size_t stream_size) {
   return std::max(config.min_cols, by_ratio);
 }
 
-compress::QuantileBucketQuantizer::Backend BackendOf(
-    const SketchMlConfig& config) {
-  return config.quantile_backend == QuantileBackend::kGk
-             ? compress::QuantileBucketQuantizer::Backend::kGk
-             : compress::QuantileBucketQuantizer::Backend::kKll;
-}
-
 /// Effective bucket count for a stream of `stream_size` values: the
 /// configured q, shrunk for tiny streams so the 4q-byte means header
 /// cannot dominate a small message. With fewer than 8 values per bucket
@@ -84,7 +77,7 @@ common::Status EncodeStream(const common::SparseGradient& stream, bool negate,
   const int buckets = EffectiveBuckets(config, stream.size());
   const int groups = std::min(config.num_groups, buckets);
   auto quantizer = compress::QuantileBucketQuantizer::Build(
-      values, buckets, config.quantile_sketch_k, seed, BackendOf(config));
+      values, buckets, config.quantile_sketch_k, seed);
   sketch::GroupedMinMaxSketch mm_sketch(buckets, groups, config.rows,
                                         TotalCols(config, stream.size()),
                                         seed);
@@ -353,8 +346,7 @@ common::Status QuantileOnlyCodec::EncodeImpl(const common::SparseGradient& grad,
     }
     const int buckets = EffectiveBuckets(config_, stream.size());
     auto quantizer = compress::QuantileBucketQuantizer::Build(
-        values, buckets, config_.quantile_sketch_k, seed + s,
-        BackendOf(config_));
+        values, buckets, config_.quantile_sketch_k, seed + s);
     if (quantizer.num_buckets() > 256) {
       return common::Status::InvalidArgument(
           "bucket index would not fit one byte: " +
@@ -429,11 +421,6 @@ common::Status QuantileOnlyCodec::DecodeImpl(
     return common::Status::CorruptedData("key repeated across sign streams");
   }
   return common::Status::Ok();
-}
-
-std::unique_ptr<compress::GradientCodec> MakeSketchMlCodec(
-    const SketchMlConfig& config) {
-  return std::make_unique<SketchMlCodec>(config);
 }
 
 }  // namespace sketchml::core

@@ -60,7 +60,6 @@ class SketchMlCodec : public compress::GradientCodec {
   explicit SketchMlCodec(const SketchMlConfig& config = SketchMlConfig());
 
   std::string Name() const override { return "sketchml"; }
-  bool IsLossless() const override { return false; }
 
   /// Fresh instance on a decorrelated seed lane with its own message
   /// counter (see common::LaneSeed).
@@ -131,7 +130,6 @@ class SketchMlCodec : public compress::GradientCodec {
 class KeyOnlyCodec : public compress::GradientCodec {
  public:
   std::string Name() const override { return "adam+key"; }
-  bool IsLossless() const override { return true; }
 
   /// Stateless: a fork is a plain copy.
   std::unique_ptr<compress::GradientCodec> Fork(
@@ -155,7 +153,6 @@ class QuantileOnlyCodec : public compress::GradientCodec {
   explicit QuantileOnlyCodec(const SketchMlConfig& config = SketchMlConfig());
 
   std::string Name() const override { return "adam+key+quan"; }
-  bool IsLossless() const override { return false; }
 
   /// Fresh instance on a decorrelated seed lane with its own message
   /// counter (see common::LaneSeed).
@@ -180,10 +177,6 @@ class QuantileOnlyCodec : public compress::GradientCodec {
   SketchMlConfig config_;
   uint64_t encode_calls_ = 0;
 };
-
-/// Builds the full SketchML codec behind the generic interface.
-std::unique_ptr<compress::GradientCodec> MakeSketchMlCodec(
-    const SketchMlConfig& config = SketchMlConfig());
 
 }  // namespace sketchml::core
 

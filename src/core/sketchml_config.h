@@ -7,12 +7,6 @@
 
 namespace sketchml::core {
 
-/// Quantile-sketch implementation used to derive the bucket splits.
-enum class QuantileBackend {
-  kKll,  // Randomized merging sketch (the DataSketches stand-in; default).
-  kGk,   // Deterministic Greenwald-Khanna [16].
-};
-
 /// Hyper-parameters of the SketchML compression framework (§2.1, §4.1).
 ///
 /// Defaults follow the paper: q = 256 quantile buckets (one-byte indexes,
@@ -38,12 +32,8 @@ struct SketchMlConfig {
   /// Minimum total columns, so tiny gradients still get a usable table.
   int min_cols = 16;
 
-  /// Size parameter of the quantile sketch (paper: 128 by default). For
-  /// the GK backend this maps to epsilon = 1 / (2 k).
+  /// Size parameter of the KLL quantile sketch (paper: 128 by default).
   int quantile_sketch_k = 128;
-
-  /// Which quantile sketch supplies the splits (§2.3 discusses both).
-  QuantileBackend quantile_backend = QuantileBackend::kKll;
 
   /// Separate positive/negative quantization (§3.3 Solution 1). Disabling
   /// reproduces the "reversed gradient" failure for ablation.

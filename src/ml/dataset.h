@@ -19,7 +19,6 @@ class Dataset {
       : instances_(std::move(instances)), dim_(dim) {}
 
   const std::vector<Instance>& instances() const { return instances_; }
-  std::vector<Instance>& mutable_instances() { return instances_; }
   uint64_t dim() const { return dim_; }
   size_t size() const { return instances_.size(); }
 

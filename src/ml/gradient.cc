@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "ml/csr_matrix.h"
 
 namespace sketchml::ml {
 
@@ -51,28 +50,6 @@ common::SparseGradient ComputeBatchGradient(const Loss& loss,
     if (scale == 0.0) continue;
     for (const auto& f : x.features) {
       acc.Add(f.index, scale * static_cast<double>(f.value));
-    }
-  }
-  return DrainGradient(&acc, w, lambda);
-}
-
-common::SparseGradient ComputeBatchGradientCsr(const Loss& loss,
-                                               const DenseVector& w,
-                                               const CsrMatrix& matrix,
-                                               size_t begin, size_t end,
-                                               double lambda) {
-  SKETCHML_CHECK_LE(begin, end);
-  SKETCHML_CHECK_LE(end, matrix.rows());
-  common::KeyAccumulator& acc = ThreadGradientAccumulator(w.size());
-  const double inv_batch = end > begin ? 1.0 / (end - begin) : 0.0;
-  for (size_t row = begin; row < end; ++row) {
-    const double margin = matrix.RowDot(row, w);
-    const double scale =
-        loss.PointGradientScale(margin, matrix.label(row)) * inv_batch;
-    if (scale == 0.0) continue;
-    const CsrMatrix::RowView view = matrix.Row(row);
-    for (size_t i = 0; i < view.nnz; ++i) {
-      acc.Add(view.indices[i], scale * static_cast<double>(view.values[i]));
     }
   }
   return DrainGradient(&acc, w, lambda);

@@ -33,14 +33,6 @@ inline double Dot(const DenseVector& w, const Instance& x) {
   return sum;
 }
 
-/// Accumulates `scale * x` into the sparse map-backed gradient
-/// accumulator `acc` (dense vector indexed by dimension).
-inline void Axpy(double scale, const Instance& x, DenseVector* acc) {
-  for (const auto& f : x.features) {
-    (*acc)[f.index] += scale * static_cast<double>(f.value);
-  }
-}
-
 }  // namespace sketchml::ml
 
 #endif  // SKETCHML_ML_TYPES_H_

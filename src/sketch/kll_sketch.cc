@@ -190,11 +190,11 @@ std::vector<double> KllSketch::EqualDepthSplits(int num_splits) const {
   SKETCHML_CHECK_GT(num_splits, 0);
   SKETCHML_CHECK_GT(count_, 0u);
   // One gather-and-sort answers every rank; each split is then a binary
-  // search over the prefix weights. Must stay bit-identical to the base
-  // class (Quantile per split): Quantile(q) returns the first item whose
-  // cumulative weight reaches q * total, which is exactly the
-  // lower_bound below, and the interior q values are in (0, 1) so the
-  // min/max shortcuts never fire.
+  // search over the prefix weights. Must stay bit-identical to a Quantile
+  // call per split: Quantile(q) returns the first item whose cumulative
+  // weight reaches q * total, which is exactly the lower_bound below, and
+  // the interior q values are in (0, 1) so the min/max shortcuts never
+  // fire.
   const auto items = SortedItems();
   std::vector<double> cumulative;
   cumulative.reserve(items.size());
@@ -225,18 +225,6 @@ std::vector<double> KllSketch::EqualDepthSplits(int num_splits) const {
   if (hi < splits.back()) hi = splits.back();
   splits.push_back(hi);
   return splits;
-}
-
-double KllSketch::Rank(double value) const {
-  SKETCHML_CHECK_GT(count_, 0u);
-  const auto items = SortedItems();
-  uint64_t total_weight = 0;
-  uint64_t below = 0;
-  for (const auto& [v, w] : items) {
-    total_weight += w;
-    if (v <= value) below += w;
-  }
-  return static_cast<double>(below) / static_cast<double>(total_weight);
 }
 
 double KllSketch::Min() const {

@@ -9,12 +9,16 @@
 #include "common/byte_buffer.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "sketch/quantile_sketch.h"
 
 namespace sketchml::sketch {
 
 /// Merging quantile sketch in the KLL family — the from-scratch stand-in
 /// for the Yahoo DataSketches quantile sketch the paper uses (§3.2).
+///
+/// A quantile sketch summarizes one pass over a stream of doubles in a
+/// small structure and answers rank queries `q ∈ [0, 1]` (§2.3):
+/// `Quantile(0.5)` estimates the median. SketchML uses it to place
+/// gradient values into equal-population buckets.
 ///
 /// Items are buffered in levels; when a level fills it is sorted and
 /// compacted: every other item (random phase) is promoted to the next
@@ -31,33 +35,47 @@ namespace sketchml::sketch {
 ///
 /// Supports `Merge`, which the distributed driver uses to combine
 /// per-worker sketches.
-class KllSketch : public QuantileSketch {
+class KllSketch {
  public:
   /// `k` controls accuracy/space (level-0 capacity). `seed` drives the
   /// random compaction phase; fixed seed => deterministic sketch.
   explicit KllSketch(int k = 256, uint64_t seed = 1);
 
-  void Update(double value) override;
-  /// Copies `values` into level 0 a block at a time, up to its capacity,
-  /// running the same compactions as the per-item loop.
-  void UpdateAll(const std::vector<double>& values) override;
-  uint64_t Count() const override { return count_; }
-  double Quantile(double q) const override;
-  double Min() const override;
-  double Max() const override;
+  /// Inserts one item.
+  void Update(double value);
 
-  /// One SortedItems() pass + prefix weights for all ranks instead of a
-  /// fresh gather-and-sort per Quantile call. Bit-identical to the base
-  /// implementation (pinned by tests), ~num_splits times cheaper — this
-  /// sits on the encode hot path via QuantileBucketQuantizer::Build.
-  std::vector<double> EqualDepthSplits(int num_splits) const override;
+  /// Inserts every element of `values`, in order, and leaves exactly the
+  /// state the per-item `Update` loop would. Copies `values` into level 0
+  /// a block at a time, up to its capacity, running the same compactions
+  /// as that loop.
+  void UpdateAll(const std::vector<double>& values);
+
+  /// Number of items inserted so far.
+  uint64_t Count() const { return count_; }
+
+  /// Returns an estimate of the item at rank `q * Count()`. `q` is clamped
+  /// to [0, 1]. Undefined when the sketch is empty (checked).
+  double Quantile(double q) const;
+
+  /// Exact minimum and maximum of the stream (tracked losslessly, as
+  /// DataSketches does). Undefined when the sketch is empty (checked).
+  double Min() const;
+  double Max() const;
+
+  /// The `num_splits + 1` equal-depth split points of quantile-bucket
+  /// quantification (§3.2 step 1; `num_splits` is the paper's `q`):
+  /// Min(), then each Quantile(i / num_splits) for 0 < i < num_splits
+  /// raised to the previous split if it falls below it, then Max()
+  /// raised the same way. The result is non-decreasing. Answers every
+  /// rank from one SortedItems() pass with prefix weights, ~num_splits
+  /// times cheaper than a Quantile call per split, with bit-identical
+  /// results (pinned by tests/kll_sketch_test.cc); this sits on the
+  /// encode hot path via QuantileBucketQuantizer::Build.
+  std::vector<double> EqualDepthSplits(int num_splits) const;
 
   /// Merges `other` into this sketch. Equivalent to having updated this
   /// sketch with other's entire stream.
   void Merge(const KllSketch& other);
-
-  /// Estimated rank (fraction of items <= value) of `value`.
-  double Rank(double value) const;
 
   /// Inserts `value` with weight `weight` directly into level log2(weight).
   /// `weight` must be a power of two — the only weights a KLL compactor

@@ -39,7 +39,6 @@ TEST(ChecksummedCodecTest, RoundTripsAndNames) {
   compress::ChecksummedCodec codec(
       std::make_unique<compress::RawCodec>());
   EXPECT_EQ(codec.Name(), "adam-double+crc");
-  EXPECT_TRUE(codec.IsLossless());
 
   SparseGradient grad = {{1, 0.5}, {9, -0.25}, {100, 3.0}};
   compress::EncodedGradient msg;

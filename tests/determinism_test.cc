@@ -222,14 +222,16 @@ TEST(DeterminismTest, CodecBankLanesAreIndependentAndReplayable) {
     key += 1 + rng.NextBounded(30);
     grad.push_back({key, rng.NextGaussian() * 0.05});
   }
-  auto bank_a = std::move(core::MakeCodecBank("sketchml", 4)).value();
-  auto bank_b = std::move(core::MakeCodecBank("sketchml", 4)).value();
-  ASSERT_EQ(bank_a.size(), 4u);
+  // The trainer's lanes: one prototype, forked once per worker.
+  auto proto_a = std::move(core::MakeCodec("sketchml")).value();
+  auto proto_b = std::move(core::MakeCodec("sketchml")).value();
   std::vector<std::vector<uint8_t>> lane_bytes;
-  for (size_t lane = 0; lane < bank_a.size(); ++lane) {
+  for (uint64_t lane = 0; lane < 4; ++lane) {
+    const auto codec_a = proto_a->Fork(lane);
+    const auto codec_b = proto_b->Fork(lane);
     compress::EncodedGradient msg_a, msg_b;
-    ASSERT_TRUE(bank_a[lane]->Encode(grad, &msg_a).ok());
-    ASSERT_TRUE(bank_b[lane]->Encode(grad, &msg_b).ok());
+    ASSERT_TRUE(codec_a->Encode(grad, &msg_a).ok());
+    ASSERT_TRUE(codec_b->Encode(grad, &msg_b).ok());
     EXPECT_EQ(msg_a.bytes, msg_b.bytes);  // Same lane replays.
     lane_bytes.push_back(msg_a.bytes);
   }

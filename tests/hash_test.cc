@@ -3,29 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <string>
 #include <vector>
 
 namespace sketchml::common {
 namespace {
-
-TEST(MurmurHash3Test, DeterministicAndSeedSensitive) {
-  const std::string data = "sketchml";
-  EXPECT_EQ(MurmurHash3_32(data.data(), data.size(), 1),
-            MurmurHash3_32(data.data(), data.size(), 1));
-  EXPECT_NE(MurmurHash3_32(data.data(), data.size(), 1),
-            MurmurHash3_32(data.data(), data.size(), 2));
-}
-
-TEST(MurmurHash3Test, HandlesAllTailLengths) {
-  // Lengths 0..7 exercise every switch arm of the tail handling.
-  const std::string data = "abcdefgh";
-  std::set<uint32_t> hashes;
-  for (size_t len = 0; len <= data.size(); ++len) {
-    hashes.insert(MurmurHash3_32(data.data(), len, 99));
-  }
-  EXPECT_EQ(hashes.size(), data.size() + 1);  // All distinct.
-}
 
 TEST(MurmurMix64Test, DistinctKeysRarelyCollide) {
   std::set<uint64_t> seen;

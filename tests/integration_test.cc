@@ -99,37 +99,6 @@ TEST(IntegrationTest, ChecksummedSketchMlEndToEndTraining) {
   EXPECT_LT(stats->back().train_loss, 0.8);
 }
 
-TEST(IntegrationTest, GkBackendTrainsEquivalently) {
-  ml::SyntheticConfig data_config;
-  data_config.num_instances = 1500;
-  data_config.dim = 1 << 13;
-  data_config.seed = 73;
-  ml::Dataset all = ml::GenerateSynthetic(data_config);
-  auto [train, test] = all.Split(0.25);
-  auto loss = ml::MakeLoss("lr");
-
-  double final_loss[2];
-  int i = 0;
-  for (auto backend :
-       {core::QuantileBackend::kKll, core::QuantileBackend::kGk}) {
-    core::SketchMlConfig codec_config;
-    codec_config.quantile_backend = backend;
-    dist::ClusterConfig cluster;
-    cluster.num_workers = 3;
-    dist::TrainerConfig trainer_config;
-    trainer_config.learning_rate = 0.05;
-    trainer_config.adam_epsilon = 0.01;
-    dist::DistributedTrainer trainer(
-        &train, &test, loss.get(),
-        std::make_unique<core::SketchMlCodec>(codec_config), cluster,
-        trainer_config);
-    auto stats = trainer.Run(4);
-    ASSERT_TRUE(stats.ok());
-    final_loss[i++] = stats->back().train_loss;
-  }
-  EXPECT_NEAR(final_loss[0], final_loss[1], 0.05);
-}
-
 TEST(IntegrationTest, MlpGradientsThroughSketchMl) {
   // The Appendix B.3 path end to end at test scale.
   ml::Dataset data = ml::GenerateSyntheticMnist(400, 8, 4, 79);

@@ -118,19 +118,6 @@ TEST(KllSketchTest, MergeEmptySketches) {
   EXPECT_DOUBLE_EQ(a.Quantile(0.5), 1.0);
 }
 
-TEST(KllSketchTest, RankIsMonotone) {
-  KllSketch sketch(256);
-  common::Rng rng(47);
-  for (int i = 0; i < 20000; ++i) sketch.Update(rng.NextGaussian());
-  double previous = -1.0;
-  for (double v = -3.0; v <= 3.0; v += 0.25) {
-    const double r = sketch.Rank(v);
-    EXPECT_GE(r, previous);
-    previous = r;
-  }
-  EXPECT_NEAR(sketch.Rank(0.0), 0.5, 0.03);
-}
-
 TEST(KllSketchTest, EqualDepthSplitsAreMonotoneAndCoverRange) {
   KllSketch sketch(256);
   common::Rng rng(53);
@@ -347,7 +334,6 @@ void ExpectMatchesReference(const KllSketch& got, const ReferenceKll& ref) {
   }
   for (double q : {0.01, 0.3, 0.5, 0.99}) {
     EXPECT_EQ(Bits(got.Quantile(q)), Bits(want.Quantile(q))) << q;
-    EXPECT_EQ(Bits(got.Rank(got.Quantile(q))), Bits(want.Rank(want.Quantile(q))));
   }
 }
 
@@ -386,6 +372,57 @@ TEST(KllReferenceTest, UpdatesMatchSortEveryCompactionBuild) {
         ExpectMatchesReference(per_item, ref);
         ExpectMatchesReference(batched, ref);
         ExpectMatchesReference(chunked, ref);
+      }
+    }
+  }
+}
+
+// The §3.2 split rule, one Quantile call per split: Min(), then each
+// Quantile(i / q) raised to the previous split, then Max() raised the
+// same way. EqualDepthSplits answers every rank from one sorted pass and
+// must return exactly this.
+std::vector<double> QuantilePerSplit(const KllSketch& sketch,
+                                     int num_splits) {
+  std::vector<double> splits;
+  splits.push_back(sketch.Min());
+  for (int i = 1; i < num_splits; ++i) {
+    double v = sketch.Quantile(static_cast<double>(i) / num_splits);
+    if (v < splits.back()) v = splits.back();
+    splits.push_back(v);
+  }
+  double hi = sketch.Max();
+  if (hi < splits.back()) hi = splits.back();
+  splits.push_back(hi);
+  return splits;
+}
+
+TEST(KllReferenceTest, EqualDepthSplitsMatchQuantilePerSplit) {
+  for (int k : {8, 128, 256}) {
+    for (size_t n : {1u, 2u, 6u, 200u, 257u, 3100u, 100000u}) {
+      for (bool heavy : {false, true}) {
+        // Heavy: a handful of tied values. Otherwise sign-mixed
+        // |N(0,1)|^3, the skewed shape of gradient values.
+        std::vector<double> values = Stream(n, 4000 + n + k, heavy);
+        if (!heavy) {
+          for (double& v : values) v = v * v * v;
+        }
+        KllSketch per_item(k, 3), batched(k, 3);
+        for (double v : values) per_item.Update(v);
+        batched.UpdateAll(values);
+        for (const KllSketch* sketch : {&per_item, &batched}) {
+          for (int num_splits : {1, 2, 7, 256}) {
+            SCOPED_TRACE(testing::Message()
+                         << "k=" << k << " n=" << n << " heavy=" << heavy
+                         << " batched=" << (sketch == &batched)
+                         << " splits=" << num_splits);
+            const auto got = sketch->EqualDepthSplits(num_splits);
+            const auto want = QuantilePerSplit(*sketch, num_splits);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < got.size(); ++i) {
+              EXPECT_EQ(Bits(got[i]), Bits(want[i])) << i;
+            }
+          }
+        }
       }
     }
   }

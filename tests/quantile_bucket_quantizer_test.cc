@@ -177,35 +177,5 @@ TEST(QuantileBucketQuantizerTest, RejectsUnsortedSplits) {
   EXPECT_DEATH(QuantileBucketQuantizer({1.0, 0.0}), "");
 }
 
-TEST(QuantileBucketQuantizerTest, GkBackendAlsoEqualizesPopulation) {
-  const auto values = SkewedGradientValues(30000, 149);
-  const int q = 32;
-  auto quantizer = QuantileBucketQuantizer::Build(
-      values, q, 256, 1, QuantileBucketQuantizer::Backend::kGk);
-  std::vector<int> counts(q, 0);
-  for (double v : values) ++counts[quantizer.BucketOf(v)];
-  const double expected = static_cast<double>(values.size()) / q;
-  int within = 0;
-  for (int c : counts) {
-    if (std::abs(c - expected) < expected * 0.5) ++within;
-  }
-  EXPECT_GT(within, q * 3 / 4);
-}
-
-TEST(QuantileBucketQuantizerTest, BackendsAgreeOnSkewedData) {
-  const auto values = SkewedGradientValues(20000, 151);
-  auto kll = QuantileBucketQuantizer::Build(
-      values, 64, 256, 1, QuantileBucketQuantizer::Backend::kKll);
-  auto gk = QuantileBucketQuantizer::Build(
-      values, 64, 256, 1, QuantileBucketQuantizer::Backend::kGk);
-  // Same data, same bucket count: quantized outputs should be close for
-  // typical values.
-  std::vector<double> diffs;
-  for (double v : {-0.02, -0.005, 0.0, 0.003, 0.01}) {
-    diffs.push_back(std::abs(kll.Quantize(v) - gk.Quantize(v)));
-  }
-  for (double d : diffs) EXPECT_LT(d, 0.005);
-}
-
 }  // namespace
 }  // namespace sketchml::compress

@@ -57,7 +57,6 @@ class PoisonedLaneCodec : public compress::GradientCodec {
       : dim_(dim), poison_(std::move(poison)), kind_(kind), lane_(lane) {}
 
   std::string Name() const override { return "poisoned-lane"; }
-  bool IsLossless() const override { return true; }
   std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {
     return std::make_unique<PoisonedLaneCodec>(dim_, poison_, kind_,
                                                static_cast<int64_t>(lane));
@@ -167,7 +166,6 @@ class NthDecodePoisonCodec : public compress::GradientCodec {
       : dim_(dim), nth_(nth), fired_(std::move(fired)), lane_(lane) {}
 
   std::string Name() const override { return "nth-decode-poison"; }
-  bool IsLossless() const override { return true; }
   std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {
     return std::make_unique<NthDecodePoisonCodec>(dim_, nth_, fired_,
                                                   static_cast<int64_t>(lane));
@@ -318,7 +316,6 @@ class FailingBroadcastCodec : public compress::GradientCodec {
       : driver_lane_(driver_lane) {}
 
   std::string Name() const override { return "failing-broadcast"; }
-  bool IsLossless() const override { return true; }
   std::unique_ptr<GradientCodec> Fork(uint64_t) const override {
     return std::make_unique<FailingBroadcastCodec>(false);
   }
@@ -377,7 +374,6 @@ class UndecodableLaneCodec : public compress::GradientCodec {
   explicit UndecodableLaneCodec(int64_t lane = -1) : lane_(lane) {}
 
   std::string Name() const override { return "undecodable-lane"; }
-  bool IsLossless() const override { return true; }
   std::unique_ptr<GradientCodec> Fork(uint64_t lane) const override {
     return std::make_unique<UndecodableLaneCodec>(static_cast<int64_t>(lane));
   }

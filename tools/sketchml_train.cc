@@ -85,8 +85,8 @@ constexpr char kUsage[] = R"(sketchml_train [flags]
   --metrics-out=PATH    write final counters/histograms as JSON lines
   --metrics-format=FMT  jsonl (default) or prom — Prometheus text
                         exposition for the --metrics-out dump (counters,
-                        gauges, histograms as cumulative buckets, latency
-                        sketches as quantile summaries)
+                        gauges, histograms as _sum/_count summaries,
+                        latency sketches as quantile summaries)
   --series-out=PATH     stream a metrics time-series (JSONL): a run
                         header with every flag + git sha, then one sample
                         per epoch boundary (analyze with sketchml_report)
