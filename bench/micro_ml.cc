@@ -1,12 +1,14 @@
 // Micro-benchmarks for the ML substrate: the batch gradient kernel,
-// Adam application, loss evaluation, and synthetic-data generation
-// throughput. Engineering baselines, not paper figures.
+// Adam application, loss evaluation, the Fig 14 MLP's batch gradient and
+// test loss, and synthetic-data generation throughput. Engineering
+// baselines, not paper figures.
 
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
 #include "ml/gradient.h"
 #include "ml/loss.h"
+#include "ml/mlp.h"
 #include "ml/optimizer.h"
 #include "ml/synthetic.h"
 
@@ -68,6 +70,39 @@ void BM_MeanLoss(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * data.size());
 }
 BENCHMARK(BM_MeanLoss);
+
+// The Fig 14 MLP (400-600-600-10) on the perfbench mlp-dense data:
+// 3000 MNIST-like 20x20 instances, batch 60. Dispatch follows
+// SKETCHML_SIMD, so run once as is and once with SKETCHML_SIMD=off.
+const ml::Dataset& MnistData() {
+  static const ml::Dataset* data =
+      new ml::Dataset(ml::GenerateSyntheticMnist(3000, 20, 10, 1));
+  return *data;
+}
+
+void BM_MlpBatchGradient(benchmark::State& state) {
+  const auto& data = MnistData();
+  const ml::Mlp mlp({400, 600, 600, 10}, 1);
+  common::SparseGradient grad;
+  size_t begin = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        mlp.ComputeBatchGradient(data, begin, begin + 60, &grad));
+    begin = (begin + 60) % data.size();
+  }
+  state.SetItemsProcessed(state.iterations() * 60);
+}
+BENCHMARK(BM_MlpBatchGradient)->Unit(benchmark::kMillisecond);
+
+void BM_MlpMeanLoss(benchmark::State& state) {
+  const auto& data = MnistData();
+  const ml::Mlp mlp({400, 600, 600, 10}, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mlp.ComputeMeanLoss(data));
+  }
+  state.SetItemsProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_MlpMeanLoss)->Unit(benchmark::kMillisecond);
 
 void BM_SyntheticGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -60,12 +60,64 @@ DeltaScanStatus DeltaScanScalar(const uint64_t* keys, size_t count,
   return DeltaScanStatus::kOk;
 }
 
+// The dense-layer kernels are the per-instance loops the MLP ran before it
+// batched, one instance after another.
+
+void DenseForwardScalar(const double* x, const double* w, const double* b,
+                        size_t rows, size_t in, size_t out, double* y) {
+  for (size_t n = 0; n < rows; ++n) {
+    const double* xn = x + n * in;
+    double* yn = y + n * out;
+    for (size_t j = 0; j < out; ++j) yn[j] = b[j];
+    for (size_t i = 0; i < in; ++i) {
+      const double xi = xn[i];
+      if (xi == 0.0) continue;
+      const double* row = w + i * out;
+      for (size_t j = 0; j < out; ++j) yn[j] += xi * row[j];
+    }
+  }
+}
+
+void DenseWeightGradientScalar(const double* x, const double* d, size_t rows,
+                               size_t in, size_t out, double scale,
+                               double* gw, double* gb) {
+  for (size_t n = 0; n < rows; ++n) {
+    const double* xn = x + n * in;
+    const double* dn = d + n * out;
+    for (size_t j = 0; j < out; ++j) gb[j] += dn[j] * scale;
+    for (size_t i = 0; i < in; ++i) {
+      const double xi = xn[i];
+      if (xi == 0.0) continue;
+      double* grow = gw + i * out;
+      for (size_t j = 0; j < out; ++j) grow[j] += xi * dn[j] * scale;
+    }
+  }
+}
+
+void DenseBackpropScalar(const double* w, const double* d, const double* act,
+                         size_t rows, size_t in, size_t out, double* p) {
+  for (size_t n = 0; n < rows; ++n) {
+    const double* dn = d + n * out;
+    for (size_t i = 0; i < in; ++i) {
+      double sum = 0.0;
+      if (act[n * in + i] > 0.0) {
+        const double* row = w + i * out;
+        for (size_t j = 0; j < out; ++j) sum += row[j] * dn[j];
+      }
+      p[n * in + i] = sum;
+    }
+  }
+}
+
 }  // namespace
 
 const Kernels kScalarKernels = {
     &BucketSearchScalar,
     &HashBucketsScalar,
     &DeltaScanScalar,
+    &DenseForwardScalar,
+    &DenseWeightGradientScalar,
+    &DenseBackpropScalar,
 };
 
 }  // namespace internal
@@ -184,6 +236,22 @@ DeltaScanStatus DeltaScan(const uint64_t* keys, size_t count,
                           size_t* total_delta_bytes) {
   return ActiveKernels().delta_scan(keys, count, deltas, widths,
                                     total_delta_bytes);
+}
+
+void DenseForward(const double* x, const double* w, const double* b,
+                  size_t rows, size_t in, size_t out, double* y) {
+  ActiveKernels().dense_forward(x, w, b, rows, in, out, y);
+}
+
+void DenseWeightGradient(const double* x, const double* d, size_t rows,
+                         size_t in, size_t out, double scale, double* gw,
+                         double* gb) {
+  ActiveKernels().dense_weight_gradient(x, d, rows, in, out, scale, gw, gb);
+}
+
+void DenseBackprop(const double* w, const double* d, const double* act,
+                   size_t rows, size_t in, size_t out, double* p) {
+  ActiveKernels().dense_backprop(w, d, act, rows, in, out, p);
 }
 
 }  // namespace sketchml::common::simd

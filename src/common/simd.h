@@ -9,8 +9,9 @@
 
 namespace sketchml::common::simd {
 
-/// The runtime-dispatch seam for the codec pipeline's batch kernels
-/// (docs/perf.md).
+/// The runtime-dispatch seam for the repo's batch kernels: the codec
+/// pipeline's (bucket search, sketch hashing, delta keys) and the Fig 14
+/// MLP's dense layers (docs/perf.md).
 ///
 /// Every kernel below has a scalar implementation (always compiled, the
 /// reference semantics) and optionally an AVX2 implementation (compiled
@@ -95,6 +96,33 @@ DeltaScanStatus DeltaScan(const uint64_t* keys, size_t count,
                           uint32_t* deltas, uint8_t* widths,
                           size_t* total_delta_bytes);
 
+// Dense-layer kernels of the Fig 14 MLP (ml::Mlp) over a mini-batch.
+// Activation matrices are instance-major: `x` is rows x in, `d` and `y`
+// are rows x out. The weights `w` are in x out, row i holding input i's
+// fan-out. Every multiply rounds before its add (no FMA), and each sum
+// runs in the order given, so results are bit-identical on every level.
+// The one freedom left is C++'s: where two NaNs of different payloads
+// meet in one add or multiply, the compiler's operand order picks the
+// payload that survives.
+
+/// Forward: y[n][j] starts at b[j], then adds x[n][i] * w[i][j] for i
+/// ascending, skipping every x[n][i] == 0 (a zero input contributes
+/// nothing, not even 0 * inf = NaN).
+void DenseForward(const double* x, const double* w, const double* b,
+                  size_t rows, size_t in, size_t out, double* y);
+
+/// Weight gradient: for n ascending, gw[i][j] += (x[n][i] * d[n][j]) *
+/// scale where x[n][i] != 0, and gb[j] += d[n][j] * scale.
+void DenseWeightGradient(const double* x, const double* d, size_t rows,
+                         size_t in, size_t out, double scale, double* gw,
+                         double* gb);
+
+/// Back-prop through the layer and the ReLU that fed it: p[n][i] is 0.0
+/// plus w[i][j] * d[n][j] for j ascending where act[n][i] > 0, and 0.0
+/// elsewhere. `act` and `p` are rows x in.
+void DenseBackprop(const double* w, const double* d, const double* act,
+                   size_t rows, size_t in, size_t out, double* p);
+
 namespace internal {
 
 /// One kernel table per level. The scalar table is the reference; the
@@ -106,6 +134,12 @@ struct Kernels {
                        uint32_t*);
   DeltaScanStatus (*delta_scan)(const uint64_t*, size_t, uint32_t*, uint8_t*,
                                 size_t*);
+  void (*dense_forward)(const double*, const double*, const double*, size_t,
+                        size_t, size_t, double*);
+  void (*dense_weight_gradient)(const double*, const double*, size_t, size_t,
+                                size_t, double, double*, double*);
+  void (*dense_backprop)(const double*, const double*, const double*, size_t,
+                         size_t, size_t, double*);
 };
 
 extern const Kernels kScalarKernels;

@@ -1,6 +1,6 @@
 #include "common/simd.h"
 
-// AVX2 implementations of the batch codec kernels. This translation unit
+// AVX2 implementations of the batch kernels. This translation unit
 // is the only place (together with the other src/common/simd* files) where
 // raw intrinsics are allowed — the `sketchml-raw-simd` lint rule keeps the
 // dispatch seam the repo's single SIMD surface.
@@ -15,8 +15,12 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/bit_util.h"
 
@@ -275,10 +279,316 @@ DeltaScanStatus DeltaScanAvx2(const uint64_t* keys, size_t count,
   return DeltaScanStatus::kOk;
 }
 
+// ---------------------------------------------------------------------------
+// Dense-layer kernels (ml::Mlp). Each sums in its scalar reference's order
+// and rounds every multiply before its add, so the results are bit
+// identical. The speed comes from register tiles that reuse every loaded
+// weight or delta vector across several accumulators, from cache blocks
+// that keep the reused operand in L1, and from nonzero lists that skip
+// zero inputs without a data-dependent branch per element.
+// ---------------------------------------------------------------------------
+
+// A panel of up to kPanelVecs vectors (32 outputs) is the register tile
+// of the forward and weight-gradient kernels.
+constexpr size_t kPanelVecs = 8;
+constexpr size_t kPanel = 4 * kPanelVecs;
+
+// Forward cache block: kRowBlock weight rows of one panel (32 KB) stay in
+// L1 while every instance of the batch streams its inputs over them.
+constexpr size_t kRowBlock = 128;
+
+// Back-prop tile: 4 weight rows x kBackpropVecs vectors of 4 instances.
+constexpr size_t kBackpropVecs = 3;
+
+/// The nonzero entries of a batch matrix, one group per instance row
+/// (forward) or per input column (weight gradient), each in ascending
+/// order of the other coordinate.
+struct NonzeroLists {
+  std::vector<uint32_t> index;
+  std::vector<double> value;
+  std::vector<uint32_t> begin;  // Group g is [begin[g], end[g]).
+  std::vector<uint32_t> end;
+};
+
+/// Groups the nonzeros of x (rows x in) by row. Branchless: each element
+/// is written, and the cursor advances only past a nonzero.
+void RowNonzeros(const double* x, size_t rows, size_t in, NonzeroLists* nz) {
+  nz->index.resize(rows * in);
+  nz->value.resize(rows * in);
+  nz->begin.resize(rows);
+  nz->end.resize(rows);
+  uint32_t k = 0;
+  for (size_t n = 0; n < rows; ++n) {
+    nz->begin[n] = k;
+    const double* xn = x + n * in;
+    for (size_t i = 0; i < in; ++i) {
+      nz->index[k] = static_cast<uint32_t>(i);
+      nz->value[k] = xn[i];
+      k += static_cast<uint32_t>(xn[i] != 0.0);
+    }
+    nz->end[n] = k;
+  }
+}
+
+/// Groups the nonzeros of x (rows x in) by column; column i's entries sit
+/// at [i * rows, end[i]).
+void ColumnNonzeros(const double* x, size_t rows, size_t in,
+                    NonzeroLists* nz) {
+  nz->index.resize(rows * in);
+  nz->value.resize(rows * in);
+  nz->begin.resize(in);
+  nz->end.resize(in);
+  for (size_t i = 0; i < in; ++i) {
+    nz->begin[i] = nz->end[i] = static_cast<uint32_t>(i * rows);
+  }
+  for (size_t n = 0; n < rows; ++n) {
+    const double* xn = x + n * in;
+    for (size_t i = 0; i < in; ++i) {
+      const uint32_t k = nz->end[i];
+      nz->index[k] = static_cast<uint32_t>(n);
+      nz->value[k] = xn[i];
+      nz->end[i] = k + static_cast<uint32_t>(xn[i] != 0.0);
+    }
+  }
+}
+
+/// y[0, 4V) += value[k] * w[index[k]][0, 4V) for each entry k in order.
+template <size_t V>
+void ForwardPanel(const uint32_t* index, const double* value, size_t count,
+                  const double* w, size_t out, double* y) {
+  __m256d acc[V];
+#pragma GCC unroll 8
+  for (size_t v = 0; v < V; ++v) acc[v] = _mm256_loadu_pd(y + 4 * v);
+  for (size_t k = 0; k < count; ++k) {
+    const __m256d xv = _mm256_set1_pd(value[k]);
+    const double* row = w + static_cast<size_t>(index[k]) * out;
+#pragma GCC unroll 8
+    for (size_t v = 0; v < V; ++v) {
+      acc[v] = _mm256_add_pd(acc[v],
+                             _mm256_mul_pd(xv, _mm256_loadu_pd(row + 4 * v)));
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t v = 0; v < V; ++v) _mm256_storeu_pd(y + 4 * v, acc[v]);
+}
+
+/// g[0, 4V) += (value[k] * d[index[k]][0, 4V)) * scale for each entry k.
+template <size_t V>
+void WeightGradientPanel(const uint32_t* index, const double* value,
+                         size_t count, const double* d, size_t out,
+                         double scale, double* g) {
+  const __m256d scale_v = _mm256_set1_pd(scale);
+  __m256d acc[V];
+#pragma GCC unroll 8
+  for (size_t v = 0; v < V; ++v) acc[v] = _mm256_loadu_pd(g + 4 * v);
+  for (size_t k = 0; k < count; ++k) {
+    const __m256d xv = _mm256_set1_pd(value[k]);
+    const double* dn = d + static_cast<size_t>(index[k]) * out;
+#pragma GCC unroll 8
+    for (size_t v = 0; v < V; ++v) {
+      acc[v] = _mm256_add_pd(
+          acc[v], _mm256_mul_pd(_mm256_mul_pd(xv, _mm256_loadu_pd(dn + 4 * v)),
+                                scale_v));
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t v = 0; v < V; ++v) _mm256_storeu_pd(g + 4 * v, acc[v]);
+}
+
+using ForwardPanelFn = void (*)(const uint32_t*, const double*, size_t,
+                                const double*, size_t, double*);
+using WeightGradientPanelFn = void (*)(const uint32_t*, const double*, size_t,
+                                       const double*, size_t, double, double*);
+
+template <size_t... V>
+constexpr std::array<ForwardPanelFn, sizeof...(V) + 1> ForwardPanels(
+    std::index_sequence<V...>) {
+  return {nullptr, &ForwardPanel<V + 1>...};
+}
+template <size_t... V>
+constexpr std::array<WeightGradientPanelFn, sizeof...(V) + 1>
+WeightGradientPanels(std::index_sequence<V...>) {
+  return {nullptr, &WeightGradientPanel<V + 1>...};
+}
+
+// Indexed by the panel's vector count, 1..kPanelVecs.
+constexpr auto kForwardPanels =
+    ForwardPanels(std::make_index_sequence<kPanelVecs>());
+constexpr auto kWeightGradientPanels =
+    WeightGradientPanels(std::make_index_sequence<kPanelVecs>());
+
+// One set of lists per thread, shared by the forward and weight-gradient
+// kernels: each rebuilds it on entry.
+thread_local NonzeroLists tls_nonzeros;
+
+void DenseForwardAvx2(const double* x, const double* w, const double* b,
+                      size_t rows, size_t in, size_t out, double* y) {
+  NonzeroLists& nz = tls_nonzeros;
+  thread_local std::vector<uint32_t> block_begin;
+  RowNonzeros(x, rows, in, &nz);
+  block_begin.resize(rows);
+  for (size_t n = 0; n < rows; ++n) {
+    std::memcpy(y + n * out, b, out * sizeof(double));
+  }
+  const size_t vec_out = out / 4 * 4;
+  // Each instance's cursor walks its row list one row block at a time,
+  // so every sum still adds i in ascending order.
+  std::vector<uint32_t>& cursor = nz.begin;
+  for (size_t i0 = 0; i0 < in; i0 += kRowBlock) {
+    const uint32_t i1 = static_cast<uint32_t>(std::min(in, i0 + kRowBlock));
+    for (size_t n = 0; n < rows; ++n) {
+      block_begin[n] = cursor[n];
+      while (cursor[n] < nz.end[n] && nz.index[cursor[n]] < i1) ++cursor[n];
+    }
+    for (size_t j0 = 0; j0 < vec_out; j0 += kPanel) {
+      const ForwardPanelFn panel =
+          kForwardPanels[std::min(kPanelVecs, (vec_out - j0) / 4)];
+      for (size_t n = 0; n < rows; ++n) {
+        const uint32_t k = block_begin[n];
+        panel(nz.index.data() + k, nz.value.data() + k, cursor[n] - k,
+              w + j0, out, y + n * out + j0);
+      }
+    }
+    for (size_t n = 0; n < rows; ++n) {
+      for (size_t j = vec_out; j < out; ++j) {
+        double sum = y[n * out + j];
+        for (uint32_t k = block_begin[n]; k < cursor[n]; ++k) {
+          sum += nz.value[k] * w[static_cast<size_t>(nz.index[k]) * out + j];
+        }
+        y[n * out + j] = sum;
+      }
+    }
+  }
+}
+
+void DenseWeightGradientAvx2(const double* x, const double* d, size_t rows,
+                             size_t in, size_t out, double scale, double* gw,
+                             double* gb) {
+  for (size_t n = 0; n < rows; ++n) {
+    const double* dn = d + n * out;
+    for (size_t j = 0; j < out; ++j) gb[j] += dn[j] * scale;
+  }
+  NonzeroLists& nz = tls_nonzeros;
+  ColumnNonzeros(x, rows, in, &nz);
+  const size_t vec_out = out / 4 * 4;
+  for (size_t j0 = 0; j0 < vec_out; j0 += kPanel) {
+    const WeightGradientPanelFn panel =
+        kWeightGradientPanels[std::min(kPanelVecs, (vec_out - j0) / 4)];
+    for (size_t i = 0; i < in; ++i) {
+      const uint32_t k = nz.begin[i];
+      if (k == nz.end[i]) continue;
+      panel(nz.index.data() + k, nz.value.data() + k, nz.end[i] - k, d + j0,
+            out, scale, gw + i * out + j0);
+    }
+  }
+  for (size_t i = 0; i < in; ++i) {
+    for (size_t j = vec_out; j < out; ++j) {
+      double sum = gw[i * out + j];
+      for (uint32_t k = nz.begin[i]; k < nz.end[i]; ++k) {
+        sum += nz.value[k] * d[static_cast<size_t>(nz.index[k]) * out + j] *
+               scale;
+      }
+      gw[i * out + j] = sum;
+    }
+  }
+}
+
+/// p[n][i0, i0 + 4) for the V * 4 instances from n0: rows i0..i0+3 of w
+/// (at `w`) against the transposed deltas `dt` (out x stride, at column
+/// n0), masked by act > 0. Lanes past `rows` are padding and not stored.
+template <size_t V>
+void BackpropTile(const double* w, const double* dt, size_t stride,
+                  size_t out, const double* act, size_t in, size_t n0,
+                  size_t rows, double* p) {
+  __m256d acc[4][V];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < 4; ++r) {
+#pragma GCC unroll 8
+    for (size_t v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_pd();
+  }
+  for (size_t j = 0; j < out; ++j) {
+    const double* dj = dt + j * stride;
+#pragma GCC unroll 4
+    for (size_t r = 0; r < 4; ++r) {
+      const __m256d wr = _mm256_set1_pd(w[r * out + j]);
+#pragma GCC unroll 8
+      for (size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_add_pd(
+            acc[r][v], _mm256_mul_pd(wr, _mm256_loadu_pd(dj + 4 * v)));
+      }
+    }
+  }
+  const __m256d zero = _mm256_setzero_pd();
+#pragma GCC unroll 8
+  for (size_t v = 0; v < V; ++v) {
+    // Transpose the 4 rows x 4 instances block: instance l's four sums
+    // for rows i0..i0+3 land in one vector.
+    const __m256d t0 = _mm256_unpacklo_pd(acc[0][v], acc[1][v]);
+    const __m256d t1 = _mm256_unpackhi_pd(acc[0][v], acc[1][v]);
+    const __m256d t2 = _mm256_unpacklo_pd(acc[2][v], acc[3][v]);
+    const __m256d t3 = _mm256_unpackhi_pd(acc[2][v], acc[3][v]);
+    const __m256d sums[4] = {_mm256_permute2f128_pd(t0, t2, 0x20),
+                             _mm256_permute2f128_pd(t1, t3, 0x20),
+                             _mm256_permute2f128_pd(t0, t2, 0x31),
+                             _mm256_permute2f128_pd(t1, t3, 0x31)};
+    for (size_t l = 0; l < 4 && n0 + 4 * v + l < rows; ++l) {
+      const size_t at = (n0 + 4 * v + l) * in;
+      const __m256d alive =
+          _mm256_cmp_pd(_mm256_loadu_pd(act + at), zero, _CMP_GT_OQ);
+      _mm256_storeu_pd(p + at, _mm256_and_pd(sums[l], alive));
+    }
+  }
+}
+
+using BackpropTileFn = void (*)(const double*, const double*, size_t, size_t,
+                                const double*, size_t, size_t, size_t,
+                                double*);
+template <size_t... V>
+constexpr std::array<BackpropTileFn, sizeof...(V) + 1> BackpropTiles(
+    std::index_sequence<V...>) {
+  return {nullptr, &BackpropTile<V + 1>...};
+}
+constexpr auto kBackpropTiles =
+    BackpropTiles(std::make_index_sequence<kBackpropVecs>());
+
+void DenseBackpropAvx2(const double* w, const double* d, const double* act,
+                       size_t rows, size_t in, size_t out, double* p) {
+  // Deltas transposed to out x stride, instances padded with zeros to
+  // whole vectors, so one load feeds four instances.
+  thread_local std::vector<double> dt;
+  const size_t stride = (rows + 3) / 4 * 4;
+  dt.assign(out * stride, 0.0);
+  for (size_t n = 0; n < rows; ++n) {
+    for (size_t j = 0; j < out; ++j) dt[j * stride + n] = d[n * out + j];
+  }
+  const size_t tiled_in = in / 4 * 4;
+  for (size_t i0 = 0; i0 < tiled_in; i0 += 4) {
+    for (size_t n0 = 0; n0 < rows; n0 += 4 * kBackpropVecs) {
+      const size_t vecs = std::min(kBackpropVecs, (stride - n0) / 4);
+      kBackpropTiles[vecs](w + i0 * out, dt.data() + n0, stride, out,
+                           act + i0, in, n0, rows, p + i0);
+    }
+  }
+  for (size_t n = 0; n < rows; ++n) {
+    for (size_t i = tiled_in; i < in; ++i) {
+      double sum = 0.0;
+      if (act[n * in + i] > 0.0) {
+        for (size_t j = 0; j < out; ++j) {
+          sum += w[i * out + j] * d[n * out + j];
+        }
+      }
+      p[n * in + i] = sum;
+    }
+  }
+}
+
 const Kernels kAvx2Kernels = {
     &BucketSearchAvx2,
     &HashBucketsAvx2,
     &DeltaScanAvx2,
+    &DenseForwardAvx2,
+    &DenseWeightGradientAvx2,
+    &DenseBackpropAvx2,
 };
 
 }  // namespace

@@ -26,9 +26,13 @@ class Mlp {
   /// Total parameter count (weights + biases).
   size_t NumParams() const { return params_.size(); }
 
-  /// Runs forward + backward over instances [begin, end); accumulates the
-  /// mean gradient into `grad` (dense, as sorted key-value pairs) and
-  /// returns the mean cross-entropy loss. Labels must be 0..classes-1.
+  // The methods below CHECK that every label they read is a class index
+  // in [0, classes). The const ones are safe to call concurrently: their
+  // scratch is per thread.
+
+  /// Runs forward + backward over instances [begin, end); stores the mean
+  /// gradient in `grad` (its nonzeros, as key-sorted pairs) and returns
+  /// the mean cross-entropy loss.
   double ComputeBatchGradient(const Dataset& data, size_t begin, size_t end,
                               common::SparseGradient* grad) const;
 
@@ -38,7 +42,9 @@ class Mlp {
   /// Top-1 accuracy over `data`.
   double ComputeAccuracy(const Dataset& data) const;
 
-  /// Applies a (possibly decoded/lossy) gradient via plain SGD.
+  /// Applies a (possibly decoded/lossy) gradient via plain SGD. Keys must
+  /// be strictly increasing, as every decoder emits them, and below
+  /// NumParams() (CHECKed).
   void ApplySgd(const common::SparseGradient& grad, double learning_rate);
 
   std::vector<double>& mutable_params() { return params_; }
@@ -46,10 +52,11 @@ class Mlp {
   const std::vector<int>& layer_sizes() const { return layer_sizes_; }
 
  private:
-  /// Forward pass; fills per-layer activations. Returns the softmax
-  /// probabilities of the final layer.
-  std::vector<double> Forward(const Instance& x,
-                              std::vector<std::vector<double>>* acts) const;
+  /// Forward pass over instances [begin, begin + rows). Fills `acts` with
+  /// each layer's rows x size activation matrix, instance-major, layer l's
+  /// at rows * unit_offsets_[l]; the last holds the softmax probabilities.
+  void Forward(const Dataset& data, size_t begin, size_t rows,
+               std::vector<double>* acts) const;
 
   // Offset of layer l's weight matrix / bias vector in params_.
   size_t WeightOffset(int layer) const { return weight_offsets_[layer]; }
@@ -58,6 +65,7 @@ class Mlp {
   std::vector<int> layer_sizes_;
   std::vector<size_t> weight_offsets_;
   std::vector<size_t> bias_offsets_;
+  std::vector<size_t> unit_offsets_;  // Units in the layers before l.
   std::vector<double> params_;
 };
 

@@ -10,10 +10,13 @@
 // SKETCHML_SIMD=off for the dispatch-default path).
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -396,6 +399,138 @@ TEST(SimdDifferentialTest, QuantileOnlyEncodeBytesIdenticalAcrossLevels) {
   for (size_t i = 1; i < encodings.size(); ++i) {
     EXPECT_EQ(encodings[i], encodings[0])
         << "level " << simd::LevelName(levels[i]);
+  }
+}
+
+/// The NaN this host's arithmetic generates (0 * inf, inf - inf).
+double GeneratedNan() {
+  volatile double inf = std::numeric_limits<double>::infinity();
+  return inf - inf;
+}
+
+/// Random layer operand: mostly N(0, 1), a quarter +-0.0, and with
+/// `nans` non-empty also +-inf and those NaNs mixed in.
+std::vector<double> DenseOperand(size_t n, std::mt19937_64* rng,
+                                 const std::vector<double>& nans) {
+  std::normal_distribution<double> normal(0.0, 1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> out(n);
+  for (auto& v : out) {
+    const uint64_t pick = (*rng)() % 64;
+    if (pick < 16) {
+      v = pick % 2 == 0 ? 0.0 : -0.0;
+    } else if (!nans.empty() && pick < 18) {
+      v = pick % 2 == 0 ? ((*rng)() % 2 == 0 ? inf : -inf)
+                        : nans[(*rng)() % nans.size()];
+    } else {
+      v = normal(*rng);
+    }
+  }
+  return out;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Same bits everywhere, except that two NaNs match whatever their
+/// payloads.
+bool SameBitsOrBothNan(const std::vector<double>& a,
+                       const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SimdDifferentialTest, DenseLayerKernelsMatchScalarBitForBit) {
+  // Shapes straddle every tile edge: instance counts around the 4-lane
+  // vectors and 12-instance back-prop tiles, inputs around the 4-row
+  // back-prop tiles and 128-row forward blocks, outputs around the
+  // 4-double vectors and 32-output panels.
+  //
+  // Operands come three ways: finite; with +-inf and the host's generated
+  // NaN, where every NaN has one payload and the outputs must match bit
+  // for bit; and with NaNs of two more payloads. When two NaNs of
+  // different payloads meet in one add or multiply, the survivor is the
+  // operand the compiler placed first, which C++ does not pin on either
+  // level, so that mode checks NaN positions and every other bit.
+  struct Shape {
+    size_t rows, in, out;
+  };
+  const Shape shapes[] = {{1, 1, 1},   {3, 5, 3},    {4, 4, 4},
+                          {7, 13, 10}, {12, 33, 37}, {13, 130, 33},
+                          {60, 257, 70}, {64, 129, 600}};
+  const std::vector<std::vector<double>> nan_modes = {
+      {},
+      {GeneratedNan()},
+      {std::numeric_limits<double>::quiet_NaN(),
+       std::bit_cast<double>(uint64_t{0x7ff8'0000'0000'1234})}};
+  std::mt19937_64 rng(77);
+  for (const Shape& shape : shapes) {
+    for (size_t mode = 0; mode < nan_modes.size(); ++mode) {
+      const auto& nans = nan_modes[mode];
+      const auto x = DenseOperand(shape.rows * shape.in, &rng, nans);
+      const auto w = DenseOperand(shape.in * shape.out, &rng, nans);
+      const auto b = DenseOperand(shape.out, &rng, nans);
+      const auto d = DenseOperand(shape.rows * shape.out, &rng, nans);
+      const auto g0 = DenseOperand(shape.in * shape.out, &rng, nans);
+      const auto gb0 = DenseOperand(shape.out, &rng, nans);
+      std::vector<std::vector<double>> ys, gws, gbs, ps;
+      for (simd::Level level : CompiledLevels()) {
+        LevelGuard guard(level);
+        std::vector<double> y(shape.rows * shape.out, 7.0);
+        simd::DenseForward(x.data(), w.data(), b.data(), shape.rows,
+                           shape.in, shape.out, y.data());
+        std::vector<double> gw = g0, gb = gb0;
+        simd::DenseWeightGradient(x.data(), d.data(), shape.rows, shape.in,
+                                  shape.out, 1.0 / 60.0, gw.data(),
+                                  gb.data());
+        std::vector<double> p(shape.rows * shape.in, 7.0);
+        simd::DenseBackprop(w.data(), d.data(), x.data(), shape.rows,
+                            shape.in, shape.out, p.data());
+        ys.push_back(std::move(y));
+        gws.push_back(std::move(gw));
+        gbs.push_back(std::move(gb));
+        ps.push_back(std::move(p));
+      }
+      const auto same = mode < 2 ? &SameBits : &SameBitsOrBothNan;
+      for (size_t i = 1; i < ys.size(); ++i) {
+        const std::string where = std::to_string(shape.rows) + "x" +
+                                  std::to_string(shape.in) + "x" +
+                                  std::to_string(shape.out) + " nan mode " +
+                                  std::to_string(mode);
+        EXPECT_TRUE(same(ys[i], ys[0])) << "forward " << where;
+        EXPECT_TRUE(same(gws[i], gws[0])) << "weight grad " << where;
+        EXPECT_TRUE(same(gbs[i], gbs[0])) << "bias grad " << where;
+        EXPECT_TRUE(same(ps[i], ps[0])) << "back-prop " << where;
+      }
+    }
+  }
+}
+
+TEST(SimdDifferentialTest, DenseForwardSkipsZeroInputs) {
+  // 0 * inf would be NaN: a zero input (either sign) must add nothing, on
+  // every level, and a -0.0 bias with no nonzero input stays -0.0.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> x = {0.0, 2.0, -0.0, 0.0, -0.0, 0.0};  // 2 x 3
+  const std::vector<double> w = {inf, inf, inf, inf, inf, inf,
+                                 1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
+                                 inf, inf, inf, inf, inf, inf};  // 3 x 6
+  const std::vector<double> b = {-0.0, 1.0, -0.0, 0.5, -0.0, 0.0};
+  const std::vector<double> expected = {
+      2.0, 5.0, 6.0, 8.5, 10.0, 12.0,  // Row 0: b + 2 * w[1].
+      -0.0, 1.0, -0.0, 0.5, -0.0, 0.0};  // Row 1: b untouched.
+  for (simd::Level level : CompiledLevels()) {
+    LevelGuard guard(level);
+    std::vector<double> y(12);
+    simd::DenseForward(x.data(), w.data(), b.data(), 2, 3, 6, y.data());
+    EXPECT_TRUE(SameBits(y, expected)) << "level=" << simd::LevelName(level);
   }
 }
 
