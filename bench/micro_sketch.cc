@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <vector>
 
 #include "common/random.h"
@@ -34,6 +35,31 @@ void BM_KllUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * values.size());
 }
 BENCHMARK(BM_KllUpdate)->Arg(128)->Arg(256)->Arg(512);
+
+// Gradient-shaped magnitudes, |N(0,1)|^3: the skew of one SketchML sign
+// stream.
+std::vector<double> GradientMagnitudes(size_t n) {
+  common::Rng rng(1);
+  std::vector<double> v(n);
+  for (auto& x : v) {
+    const double g = std::abs(rng.NextGaussian());
+    x = g * g * g;
+  }
+  return v;
+}
+
+// One quantizer build's sketch at the codec's k = 128: 3,000 values is a
+// kdd12 worker stream, 265,000 an mlp-dense one.
+void BM_KllUpdateAll(benchmark::State& state) {
+  const auto values = GradientMagnitudes(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    sketch::KllSketch sketch(128);
+    sketch.UpdateAll(values);
+    benchmark::DoNotOptimize(sketch.Count());
+  }
+  state.SetItemsProcessed(state.iterations() * values.size());
+}
+BENCHMARK(BM_KllUpdateAll)->Arg(3000)->Arg(265000);
 
 void BM_KllQuantile(benchmark::State& state) {
   const auto values = RandomValues(1 << 16);

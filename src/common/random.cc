@@ -6,11 +6,6 @@
 #include "common/murmur_hash.h"
 
 namespace sketchml::common {
-namespace {
-
-inline uint64_t Rotl64(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
 
 Rng::Rng(uint64_t seed) {
   // SplitMix64 expansion of the seed into four non-zero words.
@@ -22,18 +17,6 @@ Rng::Rng(uint64_t seed) {
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     word = z ^ (z >> 31);
   }
-}
-
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl64(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl64(state_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBounded(uint64_t bound) {

@@ -1,6 +1,7 @@
 #ifndef SKETCHML_COMMON_RANDOM_H_
 #define SKETCHML_COMMON_RANDOM_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -15,8 +16,19 @@ class Rng {
   /// Seeds the generator; equal seeds produce equal streams.
   explicit Rng(uint64_t seed = 0x5EED5EED5EED5EEDULL);
 
-  /// Returns a uniformly distributed 64-bit value.
-  uint64_t NextUint64();
+  /// Returns a uniformly distributed 64-bit value. Inline: the KLL build
+  /// draws one per compaction.
+  uint64_t NextUint64() {
+    const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Returns a uniform integer in `[0, bound)`. `bound` must be positive.
   uint64_t NextBounded(uint64_t bound);

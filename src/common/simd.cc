@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 
 #include "common/bit_util.h"
@@ -17,6 +18,38 @@ namespace {
 // time logic the pre-batch code paths used, so `--simd=off` reproduces the
 // historical behavior (and performance) exactly.
 // ---------------------------------------------------------------------------
+
+// Swaps `a` and `b` when b < a, on their bit patterns: GCC turns a
+// ternary on doubles into a jump, which mispredicts on random data.
+inline void CompareSelect(double& a, double& b) {
+  const uint64_t ua = std::bit_cast<uint64_t>(a);
+  const uint64_t ub = std::bit_cast<uint64_t>(b);
+  const uint64_t swap = uint64_t{0} - static_cast<uint64_t>(b < a);
+  const uint64_t diff = (ua ^ ub) & swap;
+  a = std::bit_cast<double>(ua ^ diff);
+  b = std::bit_cast<double>(ub ^ diff);
+}
+
+void SortBlocks8Scalar(const double* in, size_t blocks, double* out) {
+  for (size_t b = 0; b < blocks; ++b) {
+    double v[kSortBlock];
+    std::copy_n(in + b * kSortBlock, kSortBlock, v);
+    SortNetwork8(v, CompareSelect);
+    std::copy_n(v, kSortBlock, out + b * kSortBlock);
+  }
+}
+
+void FoldMinMaxScalar(const double* values, size_t count, double* min,
+                      double* max) {
+  double lo = *min;
+  double hi = *max;
+  for (size_t i = 0; i < count; ++i) {
+    lo = std::min(lo, values[i]);
+    hi = std::max(hi, values[i]);
+  }
+  *min = lo;
+  *max = hi;
+}
 
 size_t BucketSearchScalar(const double* splits, size_t num_splits,
                           const double* values, size_t count, uint16_t* out) {
@@ -112,6 +145,8 @@ void DenseBackpropScalar(const double* w, const double* d, const double* act,
 }  // namespace
 
 const Kernels kScalarKernels = {
+    &SortBlocks8Scalar,
+    &FoldMinMaxScalar,
     &BucketSearchScalar,
     &HashBucketsScalar,
     &DeltaScanScalar,
@@ -215,6 +250,15 @@ Status SetActiveLevelFromString(const std::string& name) {
   }
   return Status::InvalidArgument("unknown simd level '" + name +
                                  "' (expected auto|on|off|scalar|avx2)");
+}
+
+void SortBlocks8(const double* in, size_t blocks, double* out) {
+  ActiveKernels().sort_blocks8(in, blocks, out);
+}
+
+void FoldMinMax(const double* values, size_t count, double* min,
+                double* max) {
+  ActiveKernels().fold_min_max(values, count, min, max);
 }
 
 size_t BucketSearch(const double* splits, size_t num_splits,

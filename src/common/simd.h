@@ -9,9 +9,10 @@
 
 namespace sketchml::common::simd {
 
-/// The runtime-dispatch seam for the repo's batch kernels: the codec
-/// pipeline's (bucket search, sketch hashing, delta keys) and the Fig 14
-/// MLP's dense layers (docs/perf.md).
+/// The runtime-dispatch seam for the repo's batch kernels: the KLL build's
+/// (level-0 block sort, min/max fold), the codec pipeline's (bucket
+/// search, sketch hashing, delta keys) and the Fig 14 MLP's dense layers
+/// (docs/perf.md).
 ///
 /// Every kernel below has a scalar implementation (always compiled, the
 /// reference semantics) and optionally an AVX2 implementation (compiled
@@ -62,6 +63,25 @@ Status SetActiveLevelFromString(const std::string& name);
 // ---------------------------------------------------------------------------
 // Batch kernels. All of them dispatch on ActiveLevel().
 // ---------------------------------------------------------------------------
+
+/// Values per block of SortBlocks8.
+inline constexpr size_t kSortBlock = 8;
+
+/// KLL level-0 compaction sort: sorts each of the `blocks` consecutive
+/// 8-value blocks of `in` ascending into the same block of `out` (the two
+/// must not overlap), with Batcher's 19-comparator odd-even merge network.
+/// Each comparator is a compare-and-select that swaps a pair only when the
+/// second value is strictly below the first, so every output block is a
+/// permutation of its input's bit patterns: +0.0 and -0.0 compare equal
+/// and keep the network's order, and NaN, which has no order, is moved
+/// but never lost.
+void SortBlocks8(const double* in, size_t blocks, double* out);
+
+/// The in-order fold of std::min and std::max: for i ascending, *min =
+/// std::min(*min, values[i]) and *max = std::max(*max, values[i]). A
+/// result of +0.0 or -0.0 (which compare equal) is the one that fold
+/// keeps, and a NaN is carried exactly as it would be.
+void FoldMinMax(const double* values, size_t count, double* min, double* max);
 
 /// Predicated bucket search over a sorted split array (§3.2 quantizer).
 /// For each value: out[i] = clamp(upper_bound(splits, value) - splits - 1,
@@ -125,9 +145,24 @@ void DenseBackprop(const double* w, const double* d, const double* act,
 
 namespace internal {
 
+/// Batcher's odd-even merge network for 8 inputs: 19 comparators in 6
+/// layers, each `cas(a, b)` leaving the lesser value in `a`. Every
+/// SortBlocks8 level runs this one list, in this order.
+template <typename T, typename Cas>
+inline void SortNetwork8(T* v, Cas&& cas) {
+  cas(v[0], v[1]), cas(v[2], v[3]), cas(v[4], v[5]), cas(v[6], v[7]);
+  cas(v[0], v[2]), cas(v[1], v[3]), cas(v[4], v[6]), cas(v[5], v[7]);
+  cas(v[1], v[2]), cas(v[5], v[6]);
+  cas(v[0], v[4]), cas(v[1], v[5]), cas(v[2], v[6]), cas(v[3], v[7]);
+  cas(v[2], v[4]), cas(v[3], v[5]);
+  cas(v[1], v[2]), cas(v[3], v[4]), cas(v[5], v[6]);
+}
+
 /// One kernel table per level. The scalar table is the reference; the
 /// AVX2 table must match it bit for bit.
 struct Kernels {
+  void (*sort_blocks8)(const double*, size_t, double*);
+  void (*fold_min_max)(const double*, size_t, double*, double*);
   size_t (*bucket_search)(const double*, size_t, const double*, size_t,
                           uint16_t*);
   void (*hash_buckets)(const uint64_t*, size_t, uint64_t, uint64_t,

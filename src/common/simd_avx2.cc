@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -27,6 +28,102 @@
 namespace sketchml::common::simd {
 namespace internal {
 namespace {
+
+// ---------------------------------------------------------------------------
+// KLL build: level-0 block sort and the min/max fold.
+//
+// SortBlocks8 transposes 4 blocks so register i holds value i of each, runs
+// the shared 19-comparator network on whole registers (compare, then two
+// blends: the same swap-iff-less rule as the scalar comparator, so the
+// outputs match it bit for bit) and transposes back.
+// ---------------------------------------------------------------------------
+
+inline void CompareSelect4(__m256d& a, __m256d& b) {
+  const __m256d swap = _mm256_cmp_pd(b, a, _CMP_LT_OQ);
+  const __m256d lo = _mm256_blendv_pd(a, b, swap);
+  b = _mm256_blendv_pd(b, a, swap);
+  a = lo;
+}
+
+inline void Transpose4(__m256d* r) {
+  const __m256d t0 = _mm256_unpacklo_pd(r[0], r[1]);
+  const __m256d t1 = _mm256_unpackhi_pd(r[0], r[1]);
+  const __m256d t2 = _mm256_unpacklo_pd(r[2], r[3]);
+  const __m256d t3 = _mm256_unpackhi_pd(r[2], r[3]);
+  r[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  r[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  r[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  r[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+void SortBlocks8Avx2(const double* in, size_t blocks, double* out) {
+  constexpr size_t kLanes = 4;
+  size_t b = 0;
+  for (; b + kLanes <= blocks; b += kLanes) {
+    const double* src = in + b * kSortBlock;
+    double* dst = out + b * kSortBlock;
+    __m256d v[kSortBlock];
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      v[lane] = _mm256_loadu_pd(src + lane * kSortBlock);
+      v[kLanes + lane] = _mm256_loadu_pd(src + lane * kSortBlock + kLanes);
+    }
+    Transpose4(v);
+    Transpose4(v + kLanes);
+    SortNetwork8(v, CompareSelect4);
+    Transpose4(v);
+    Transpose4(v + kLanes);
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      _mm256_storeu_pd(dst + lane * kSortBlock, v[lane]);
+      _mm256_storeu_pd(dst + lane * kSortBlock + kLanes, v[kLanes + lane]);
+    }
+  }
+  kScalarKernels.sort_blocks8(in + b * kSortBlock, blocks - b,
+                              out + b * kSortBlock);
+}
+
+// Lane-parallel min/max. Folded in any order they reach the scalar fold's
+// value; only its bit pattern can differ, and only where that value is
+// +0.0/-0.0 or a NaN is involved, so those inputs rerun the scalar fold.
+void FoldMinMaxAvx2(const double* values, size_t count, double* min,
+                    double* max) {
+  __m256d lo0 = _mm256_set1_pd(*min);
+  __m256d hi0 = _mm256_set1_pd(*max);
+  __m256d lo1 = lo0;
+  __m256d hi1 = hi0;
+  __m256d unordered = _mm256_cmp_pd(lo0, hi0, _CMP_UNORD_Q);
+  size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    const __m256d a = _mm256_loadu_pd(values + i);
+    const __m256d b = _mm256_loadu_pd(values + i + 4);
+    lo0 = _mm256_min_pd(lo0, a);
+    hi0 = _mm256_max_pd(hi0, a);
+    lo1 = _mm256_min_pd(lo1, b);
+    hi1 = _mm256_max_pd(hi1, b);
+    unordered = _mm256_or_pd(unordered, _mm256_cmp_pd(a, b, _CMP_UNORD_Q));
+  }
+  alignas(32) double lo_lanes[4];
+  alignas(32) double hi_lanes[4];
+  _mm256_store_pd(lo_lanes, _mm256_min_pd(lo0, lo1));
+  _mm256_store_pd(hi_lanes, _mm256_max_pd(hi0, hi1));
+  bool nan = _mm256_movemask_pd(unordered) != 0;
+  double lo = lo_lanes[0];
+  double hi = hi_lanes[0];
+  for (int lane = 1; lane < 4; ++lane) {
+    lo = std::min(lo, lo_lanes[lane]);
+    hi = std::max(hi, hi_lanes[lane]);
+  }
+  for (; i < count; ++i) {
+    nan |= std::isnan(values[i]);
+    lo = std::min(lo, values[i]);
+    hi = std::max(hi, values[i]);
+  }
+  if (nan || lo == 0.0 || hi == 0.0) {
+    kScalarKernels.fold_min_max(values, count, min, max);
+    return;
+  }
+  *min = lo;
+  *max = hi;
+}
 
 // ---------------------------------------------------------------------------
 // Bucket search: branchless predicated search over the sorted split array.
@@ -583,6 +680,8 @@ void DenseBackpropAvx2(const double* w, const double* d, const double* act,
 }
 
 const Kernels kAvx2Kernels = {
+    &SortBlocks8Avx2,
+    &FoldMinMaxAvx2,
     &BucketSearchAvx2,
     &HashBucketsAvx2,
     &DeltaScanAvx2,

@@ -1,6 +1,8 @@
 #include "compress/codec.h"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 
 #include "common/obs.h"
@@ -9,9 +11,21 @@
 namespace sketchml::compress {
 
 common::Status ValidateEncodable(const common::SparseGradient& grad) {
-  if (!common::IsSortedByKey(grad)) {
+  // One pass that ANDs every test together instead of branching on each:
+  // NaN fails `|v| <= DBL_MAX` as well as ±inf does.
+  bool ordered = true;
+  bool finite = true;
+  for (size_t i = 0; i < grad.size(); ++i) {
+    ordered &= i == 0 || grad[i - 1].key < grad[i].key;
+    finite &= std::abs(grad[i].value) <= std::numeric_limits<double>::max();
+  }
+  if (!ordered) {
     return common::Status::InvalidArgument(
         "gradient keys must be strictly increasing; call SortByKey first");
+  }
+  if (!finite) {
+    return common::Status::InvalidArgument(
+        "gradient values must be finite (no NaN or infinity)");
   }
   return common::Status::Ok();
 }

@@ -49,8 +49,9 @@ class GradientCodec {
   /// Human-readable codec name (e.g. "sketchml", "zipml-16bit").
   virtual std::string Name() const = 0;
 
-  /// Serializes `grad` into `out`. `grad` must be sorted by key with
-  /// strictly increasing keys; returns InvalidArgument otherwise.
+  /// Serializes `grad` into `out`. `grad` must have strictly increasing
+  /// keys and finite values (no NaN or ±inf, from which every format
+  /// would decode garbage); returns InvalidArgument otherwise.
   [[nodiscard]] common::Status Encode(const common::SparseGradient& grad,
                                       EncodedGradient* out);
 
@@ -152,7 +153,8 @@ class GradientCodec {
   obs::MetricLabels metric_labels_;
 };
 
-/// Validates the shared Encode precondition; used by all implementations.
+/// Validates the shared Encode precondition, key order and finite values,
+/// in one branch-free pass; used by all implementations.
 [[nodiscard]] common::Status ValidateEncodable(
     const common::SparseGradient& grad);
 

@@ -8,7 +8,7 @@
 
 namespace sketchml::compress {
 
-common::Status DeltaBinaryKeyCodec::Encode(const std::vector<uint64_t>& keys,
+common::Status DeltaBinaryKeyCodec::Encode(std::span<const uint64_t> keys,
                                            common::ByteWriter* writer,
                                            EncodeScratch* scratch) {
   writer->WriteVarint(keys.size());
@@ -119,7 +119,7 @@ common::Status DeltaBinaryKeyCodec::DecodeAppend(common::ByteReader* reader,
   return common::Status::Ok();
 }
 
-size_t DeltaBinaryKeyCodec::EncodedSize(const std::vector<uint64_t>& keys) {
+size_t DeltaBinaryKeyCodec::EncodedSize(std::span<const uint64_t> keys) {
   size_t total = static_cast<size_t>(common::VarintSize(keys.size())) +
                  common::CeilDiv(keys.size(), 4);
   uint64_t previous = 0;

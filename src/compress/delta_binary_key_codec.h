@@ -2,6 +2,7 @@
 #define SKETCHML_COMPRESS_DELTA_BINARY_KEY_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/byte_buffer.h"
@@ -34,7 +35,7 @@ class DeltaBinaryKeyCodec {
   /// the first key < 2^32) to `writer`. Single pass: one dispatched
   /// simd::DeltaScan computes deltas and branchless widths, then flags
   /// and deltas are written directly into the framed output.
-  static common::Status Encode(const std::vector<uint64_t>& keys,
+  static common::Status Encode(std::span<const uint64_t> keys,
                                common::ByteWriter* writer,
                                EncodeScratch* scratch);
 
@@ -64,7 +65,7 @@ class DeltaBinaryKeyCodec {
   }
 
   /// Exact encoded size in bytes for `keys` without materializing it.
-  static size_t EncodedSize(const std::vector<uint64_t>& keys);
+  static size_t EncodedSize(std::span<const uint64_t> keys);
 };
 
 /// Bitmap key encoding, the alternative §A.3 weighs and rejects: one bit

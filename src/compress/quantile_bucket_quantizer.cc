@@ -11,7 +11,7 @@
 namespace sketchml::compress {
 
 QuantileBucketQuantizer QuantileBucketQuantizer::Build(
-    const std::vector<double>& values, int num_buckets, int sketch_k,
+    std::span<const double> values, int num_buckets, int sketch_k,
     uint64_t seed) {
   SKETCHML_CHECK(!values.empty());
   SKETCHML_CHECK_GT(num_buckets, 0);

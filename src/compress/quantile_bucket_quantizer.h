@@ -28,7 +28,7 @@ class QuantileBucketQuantizer {
   /// `sketch_k` (the paper defaults to 128) seeded with `seed`, and
   /// `num_buckets` equal-depth buckets (paper's q, <= 256 so indexes fit
   /// one byte). `values` must be non-empty.
-  static QuantileBucketQuantizer Build(const std::vector<double>& values,
+  static QuantileBucketQuantizer Build(std::span<const double> values,
                                        int num_buckets, int sketch_k = 128,
                                        uint64_t seed = 1);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,17 +21,38 @@ namespace {
 
 constexpr uint8_t kWireVersion = 1;
 
-/// Splits `grad` into the positive (value >= 0) and negative streams,
-/// preserving key order within each stream.
-void SplitBySign(const common::SparseGradient& grad,
-                 common::SparseGradient* pos, common::SparseGradient* neg) {
-  size_t num_pos = 0;
-  for (const auto& pair : grad) num_pos += pair.value >= 0 ? 1 : 0;
-  pos->reserve(num_pos);
-  neg->reserve(grad.size() - num_pos);
-  for (const auto& pair : grad) {
-    (pair.value >= 0 ? pos : neg)->push_back(pair);
+/// Splits `grad` into the positive (value >= 0) and negative streams in
+/// one branch-free pass: every pair is written to both streams' next slot
+/// and only its own stream advances, so the sign, a coin flip on gradient
+/// data, never steers a branch. Without `separate_signs` every pair goes
+/// to `pos` with its value as is (the §3.3 Problem 1 ablation).
+void SplitBySign(const common::SparseGradient& grad, bool separate_signs,
+                 SignStream* pos, SignStream* neg) {
+  const size_t slots = grad.size() + 1;
+  for (SignStream* stream : {pos, neg}) {
+    if (stream->capacity < slots) {
+      stream->keys = std::make_unique_for_overwrite<uint64_t[]>(slots);
+      stream->values = std::make_unique_for_overwrite<double[]>(slots);
+      stream->capacity = slots;
+    }
   }
+  uint64_t* pos_keys = pos->keys.get();
+  double* pos_values = pos->values.get();
+  uint64_t* neg_keys = neg->keys.get();
+  double* neg_values = neg->values.get();
+  size_t p = 0;
+  size_t q = 0;
+  for (const auto& pair : grad) {
+    const size_t positive = !separate_signs || pair.value >= 0;
+    pos_keys[p] = pair.key;
+    pos_values[p] = pair.value;
+    neg_keys[q] = pair.key;
+    neg_values[q] = -pair.value;
+    p += positive;
+    q += 1 - positive;
+  }
+  pos->size = p;
+  neg->size = q;
 }
 
 int TotalCols(const SketchMlConfig& config, size_t stream_size) {
@@ -49,73 +71,81 @@ int EffectiveBuckets(const SketchMlConfig& config, size_t stream_size) {
   return std::min(config.num_buckets, by_size);
 }
 
-/// Encodes one sign stream. When `negate` is set the stream holds
-/// negative values and is quantized on magnitude, so bucket index 0 is
-/// the bucket nearest zero and MinMax decay always shrinks magnitudes.
-/// `scratch` is caller-owned buffer storage, reused across streams and
-/// Encode calls so the hot path stays allocation-free.
+/// Encodes one sign stream, whose values are already magnitudes for the
+/// negative stream, so bucket index 0 is the bucket nearest zero and
+/// MinMax decay always shrinks magnitudes. `scratch` is caller-owned
+/// buffer storage, reused across streams and calls.
 ///
-/// Batch pipeline: one BucketsOf call buckets every value, the pairs are
-/// partitioned per group, and each group's keys are inserted and
-/// delta-encoded as a block. Min-updates commute and key order within a
-/// group is preserved, so the wire bytes are identical to the historical
-/// element-at-a-time loop.
-common::Status EncodeStream(const common::SparseGradient& stream, bool negate,
+/// Batch pipeline: one BucketsOf call buckets every value; the pairs are
+/// counted per group, then placed, through bucket -> group and bucket ->
+/// local tables (no per-pair division or push_back); and each group's
+/// keys are inserted and delta-encoded as a block. Min-updates commute
+/// and key order within a group is preserved, so the wire bytes are
+/// identical to the historical element-at-a-time loop.
+common::Status EncodeStream(const SignStream& stream,
                             const SketchMlConfig& config, uint64_t seed,
                             SketchMlCodec::EncodeScratch* scratch,
                             common::ByteWriter* writer, SpaceCost* cost) {
-  writer->WriteVarint(stream.size());
-  if (stream.empty()) return common::Status::Ok();
+  const size_t n = stream.size;
+  writer->WriteVarint(n);
+  if (n == 0) return common::Status::Ok();
+  const std::span<const uint64_t> keys(stream.keys.get(), n);
+  const std::span<const double> values(stream.values.get(), n);
 
-  std::vector<double>& values = scratch->values;
-  values.clear();
-  values.reserve(stream.size());
-  for (const auto& pair : stream) {
-    values.push_back(negate ? -pair.value : pair.value);
-  }
-
-  const int buckets = EffectiveBuckets(config, stream.size());
+  const int buckets = EffectiveBuckets(config, n);
   const int groups = std::min(config.num_groups, buckets);
   auto quantizer = compress::QuantileBucketQuantizer::Build(
       values, buckets, config.quantile_sketch_k, seed);
   sketch::GroupedMinMaxSketch mm_sketch(buckets, groups, config.rows,
-                                        TotalCols(config, stream.size()),
-                                        seed);
+                                        TotalCols(config, n), seed);
 
-  scratch->buckets.resize(stream.size());
+  scratch->buckets.resize(n);
+  const uint16_t* bucket_of = scratch->buckets.data();
   quantizer.BucketsOf(values, scratch->buckets.data());
 
-  auto& group_keys = scratch->group_keys;
-  auto& group_locals = scratch->group_locals;
-  group_keys.resize(groups);
-  group_locals.resize(groups);
-  for (int g = 0; g < groups; ++g) {
-    group_keys[g].clear();
-    group_locals[g].clear();
-  }
+  // Counting sort by group: count per bucket (fewer repeats of one counter
+  // in a row than per group), sum into run ends, then place each pair at
+  // its group's cursor, keeping key order within a group.
   const int width = mm_sketch.group_width();
-  for (size_t i = 0; i < stream.size(); ++i) {
-    const int bucket = scratch->buckets[i];
-    const int g = bucket / width;
-    group_keys[g].push_back(stream[i].key);
-    group_locals[g].push_back(static_cast<uint8_t>(bucket - g * width));
+  uint8_t group_of[256];
+  uint8_t local_of[256];
+  for (int b = 0; b < buckets; ++b) {
+    group_of[b] = static_cast<uint8_t>(b / width);
+    local_of[b] = static_cast<uint8_t>(b % width);
   }
+  uint32_t per_bucket[256] = {};
+  for (size_t i = 0; i < n; ++i) ++per_bucket[bucket_of[i]];
+  std::vector<size_t>& ends = scratch->group_ends;
+  ends.assign(groups, 0);
+  for (int b = 0; b < buckets; ++b) ends[group_of[b]] += per_bucket[b];
+  size_t cursor[256];
+  size_t run_end = 0;
   for (int g = 0; g < groups; ++g) {
-    mm_sketch.InsertGroupBatch(g, group_keys[g], group_locals[g],
-                               &scratch->hash_idx);
+    cursor[g] = run_end;
+    run_end += ends[g];
+    ends[g] = run_end;
   }
-
-  // Size the remainder exactly and reserve once: everything below lands
-  // in a single allocation (EncodedSize's extra delta scan is noise next
-  // to the quantile build and sketch hashing above).
-  size_t key_bytes = 0;
-  for (const auto& keys : group_keys) {
-    key_bytes += compress::DeltaBinaryKeyCodec::EncodedSize(keys);
+  scratch->group_keys.resize(n);
+  scratch->group_locals.resize(n);
+  uint64_t* group_keys = scratch->group_keys.data();
+  uint8_t* group_locals = scratch->group_locals.data();
+  for (size_t i = 0; i < n; ++i) {
+    const uint16_t bucket = bucket_of[i];
+    const size_t slot = cursor[group_of[bucket]]++;
+    group_keys[slot] = keys[i];
+    group_locals[slot] = local_of[bucket];
   }
-  const size_t num_means = quantizer.means().size();
-  writer->Reserve(writer->size() + common::VarintSize(num_means) +
-                  num_means * sizeof(float) + mm_sketch.SerializedSize() +
-                  key_bytes + sizeof(uint64_t) - 1);  // Encode slack.
+  const auto group_run = [&](int g) {
+    const size_t begin = g == 0 ? 0 : ends[g - 1];
+    return std::pair(std::span<const uint64_t>(group_keys + begin,
+                                               ends[g] - begin),
+                     std::span<const uint8_t>(group_locals + begin,
+                                              ends[g] - begin));
+  };
+  for (int g = 0; g < groups; ++g) {
+    const auto [run_keys, run_locals] = group_run(g);
+    mm_sketch.InsertGroupBatch(g, run_keys, run_locals, &scratch->hash_idx);
+  }
 
   size_t mark = writer->size();
   quantizer.SerializeMeans(writer);
@@ -126,9 +156,9 @@ common::Status EncodeStream(const common::SparseGradient& stream, bool negate,
   cost->sketch_bytes += writer->size() - mark;
 
   mark = writer->size();
-  for (const auto& keys : group_keys) {
-    SKETCHML_RETURN_IF_ERROR(
-        compress::DeltaBinaryKeyCodec::Encode(keys, writer, &scratch->delta));
+  for (int g = 0; g < groups; ++g) {
+    SKETCHML_RETURN_IF_ERROR(compress::DeltaBinaryKeyCodec::Encode(
+        group_run(g).first, writer, &scratch->delta));
   }
   cost->key_bytes += writer->size() - mark;
   return common::Status::Ok();
@@ -198,37 +228,32 @@ common::Status SketchMlCodec::EncodeImpl(const common::SparseGradient& grad,
   writer.WriteVarint(grad.size());
   last_space_cost_.header_bytes = writer.size();
 
-  common::SparseGradient pos, neg;
-  if (config_.separate_signs) {
-    SplitBySign(grad, &pos, &neg);
-  } else {
-    pos = grad;  // Ablation: quantize both signs together (Problem 1).
-  }
+  const SignStream& pos = streams_[0];
+  const SignStream& neg = streams_[1];
+  SplitBySign(grad, config_.separate_signs, &streams_[0], &streams_[1]);
 
   // Distinct seeds per message keep hash functions fresh across epochs
   // while staying deterministic for a fixed config seed.
   const uint64_t seed = config_.seed + 0x9E3779B97F4A7C15ULL * encode_calls_;
   ++encode_calls_;
 
-  if (pool_ != nullptr && !pos.empty() && !neg.empty()) {
+  if (pool_ != nullptr && pos.size > 0 && neg.size > 0) {
     // Each stream is a self-contained byte span, so the positive stream
     // can build in a side buffer on the pool while this thread encodes
     // the negative stream; concatenation reproduces the serial layout
-    // byte for byte. TaskFuture::Get runs the task inline if no pool
-    // thread has picked it up, so this nests safely inside pool tasks
-    // (the trainer's simulated workers).
-    common::ByteWriter pos_writer(pos.size() * 2 + 64);
+    // byte for byte. The two share no buffer. TaskFuture::Get runs the
+    // task inline if no pool thread has picked it up, so this nests
+    // safely inside pool tasks (the trainer's simulated workers).
+    common::ByteWriter pos_writer(pos.size * 2 + 64);
     SpaceCost pos_cost;
-    auto pos_task = pool_->Submit([&pos, this, seed, &pos_writer, &pos_cost] {
-      EncodeScratch scratch;
-      return EncodeStream(pos, /*negate=*/false, config_, seed, &scratch,
-                          &pos_writer, &pos_cost);
+    auto pos_task = pool_->Submit([this, seed, &pos, &pos_writer, &pos_cost] {
+      return EncodeStream(pos, config_, seed, &scratch_[0], &pos_writer,
+                          &pos_cost);
     });
-    common::ByteWriter neg_writer(neg.size() * 2 + 64);
+    common::ByteWriter neg_writer(neg.size * 2 + 64);
     SpaceCost neg_cost;
-    const common::Status neg_status =
-        EncodeStream(neg, /*negate=*/true, config_, seed + 1, &scratch_,
-                     &neg_writer, &neg_cost);
+    const common::Status neg_status = EncodeStream(
+        neg, config_, seed + 1, &scratch_[1], &neg_writer, &neg_cost);
     SKETCHML_RETURN_IF_ERROR(pos_task.Get());
     SKETCHML_RETURN_IF_ERROR(neg_status);
     writer.WriteBytes(pos_writer.buffer());
@@ -239,11 +264,10 @@ common::Status SketchMlCodec::EncodeImpl(const common::SparseGradient& grad,
         pos_cost.sketch_bytes + neg_cost.sketch_bytes;
     last_space_cost_.key_bytes = pos_cost.key_bytes + neg_cost.key_bytes;
   } else {
-    SKETCHML_RETURN_IF_ERROR(EncodeStream(pos, /*negate=*/false, config_, seed,
-                                          &scratch_, &writer,
-                                          &last_space_cost_));
-    SKETCHML_RETURN_IF_ERROR(EncodeStream(neg, /*negate=*/true, config_,
-                                          seed + 1, &scratch_, &writer,
+    SKETCHML_RETURN_IF_ERROR(EncodeStream(pos, config_, seed, &scratch_[0],
+                                          &writer, &last_space_cost_));
+    SKETCHML_RETURN_IF_ERROR(EncodeStream(neg, config_, seed + 1,
+                                          &scratch_[0], &writer,
                                           &last_space_cost_));
   }
   out->bytes = writer.TakeBuffer();
@@ -328,23 +352,17 @@ common::Status QuantileOnlyCodec::EncodeImpl(const common::SparseGradient& grad,
   common::ByteWriter writer(grad.size() * 3 + 64);
   writer.WriteU8(kWireVersion);
 
-  common::SparseGradient pos, neg;
-  SplitBySign(grad, &pos, &neg);
+  SplitBySign(grad, /*separate_signs=*/true, &streams_[0], &streams_[1]);
   const uint64_t seed = config_.seed + 0x9E3779B97F4A7C15ULL * encode_calls_;
   ++encode_calls_;
 
-  const common::SparseGradient* streams[2] = {&pos, &neg};
   for (int s = 0; s < 2; ++s) {
-    const auto& stream = *streams[s];
-    const bool negate = s == 1;
-    writer.WriteVarint(stream.size());
-    if (stream.empty()) continue;
-    std::vector<double> values;
-    values.reserve(stream.size());
-    for (const auto& pair : stream) {
-      values.push_back(negate ? -pair.value : pair.value);
-    }
-    const int buckets = EffectiveBuckets(config_, stream.size());
+    const size_t n = streams_[s].size;
+    writer.WriteVarint(n);
+    if (n == 0) continue;
+    const std::span<const uint64_t> keys(streams_[s].keys.get(), n);
+    const std::span<const double> values(streams_[s].values.get(), n);
+    const int buckets = EffectiveBuckets(config_, n);
     auto quantizer = compress::QuantileBucketQuantizer::Build(
         values, buckets, config_.quantile_sketch_k, seed + s);
     if (quantizer.num_buckets() > 256) {
@@ -353,8 +371,9 @@ common::Status QuantileOnlyCodec::EncodeImpl(const common::SparseGradient& grad,
           std::to_string(quantizer.num_buckets()) + " buckets");
     }
     quantizer.SerializeMeans(&writer);
-    SKETCHML_RETURN_IF_ERROR(compress::DeltaBinaryKeyCodec::Encode(
-        common::Keys(stream), &writer));
+    compress::DeltaBinaryKeyCodec::EncodeScratch delta;
+    SKETCHML_RETURN_IF_ERROR(
+        compress::DeltaBinaryKeyCodec::Encode(keys, &writer, &delta));
     std::vector<uint16_t> bucket_idx(values.size());
     quantizer.BucketsOf(values, bucket_idx.data());
     const size_t offset = writer.Extend(values.size());

@@ -32,19 +32,35 @@ struct SpaceCost {
   }
 };
 
+/// One sign stream of a message, as the encoders' sign split leaves it:
+/// the first `size` keys (in key order) and values, negated in the
+/// negative stream so both streams hold magnitudes. Both arrays hold
+/// `capacity` slots, at least one more than the message has pairs: a pair
+/// may go to either stream, and the split writes one slot past the
+/// stream's end. They are never value-initialized, so only the slots the
+/// split writes are paged in.
+struct SignStream {
+  std::unique_ptr<uint64_t[]> keys;
+  std::unique_ptr<double[]> values;
+  size_t capacity = 0;
+  size_t size = 0;
+};
+
 /// The full SketchML gradient compressor (§3, Figure 2).
 ///
 /// Encode pipeline:
-///   1. split the pairs into positive and negative streams (§3.3 Sol. 1);
-///      negatives are quantized on magnitude so bucket 0 is always the
-///      bucket nearest zero for both streams;
+///   1. split the pairs into positive and negative streams in one
+///      branch-free pass (§3.3 Sol. 1); negatives are quantized on magnitude
+///      so bucket 0 is always the bucket nearest zero for both streams;
 ///   2. per stream, quantile-bucket quantification (§3.2): a KLL quantile
 ///      sketch yields q equal-depth buckets, every value becomes a bucket
 ///      index;
-///   3. bucket indexes go into a grouped MinMaxSketch keyed by gradient
-///      key (§3.3): min on insert / max on query, so collisions only decay
-///      values toward zero, never amplify or flip them;
-///   4. each group's (ascending) key list is delta-binary encoded (§3.4).
+///   3. the pairs are counted per group, then placed, so each group's
+///      keys form one ascending run; its bucket indexes go into a grouped
+///      MinMaxSketch keyed by gradient key (§3.3): min on insert / max on
+///      query, so collisions only decay values toward zero, never amplify
+///      or flip them;
+///   4. each group's key run is delta-binary encoded (§3.4).
 ///
 /// Decode reverses it: recover keys, query the group's sketch for each
 /// key, then write each pair once, straight to its slot in key order,
@@ -93,14 +109,14 @@ class SketchMlCodec : public compress::GradientCodec {
                             common::SparseGradient* out) override;
 
  public:
-  /// Caller-owned scratch threaded through the batch encode pipeline so
-  /// the hot path reuses one set of buffers across streams and calls.
+  /// The encode buffers of one sign stream at a time, reused across calls
+  /// so the hot path allocates nothing once they have grown.
   struct EncodeScratch {
-    std::vector<double> values;
-    std::vector<uint16_t> buckets;           // Quantizer batch output.
-    std::vector<uint32_t> hash_idx;          // Sketch hashed indices.
-    std::vector<std::vector<uint64_t>> group_keys;
-    std::vector<std::vector<uint8_t>> group_locals;
+    std::vector<uint16_t> buckets;      // Quantizer batch output.
+    std::vector<uint32_t> hash_idx;     // Sketch hashed indices.
+    std::vector<uint64_t> group_keys;   // Group g's keys, then g + 1's.
+    std::vector<uint8_t> group_locals;  // Each key's bucket in its group.
+    std::vector<size_t> group_ends;     // One past each group's run.
     compress::DeltaBinaryKeyCodec::EncodeScratch delta;
   };
 
@@ -121,7 +137,11 @@ class SketchMlCodec : public compress::GradientCodec {
   SpaceCost last_space_cost_;
   uint64_t encode_calls_ = 0;
   common::ThreadPool* pool_ = nullptr;
-  EncodeScratch scratch_;  // Reused across streams and calls.
+  SignStream streams_[2];  // Positive, negative; reused across calls.
+  // Both streams run on scratch_[0], except that a pool task encoding the
+  // positive stream leaves it to that task and this thread takes
+  // scratch_[1].
+  EncodeScratch scratch_[2];
   DecodeScratch decode_scratch_;
 };
 
@@ -176,6 +196,7 @@ class QuantileOnlyCodec : public compress::GradientCodec {
  private:
   SketchMlConfig config_;
   uint64_t encode_calls_ = 0;
+  SignStream streams_[2];  // Positive, negative; reused across calls.
 };
 
 }  // namespace sketchml::core

@@ -79,6 +79,9 @@ void Mlp::Forward(const Dataset& data, size_t begin, size_t rows,
     SKETCHML_CHECK(instance.label >= 0 && instance.label < layer_sizes_.back())
         << "label " << instance.label << " outside [0, "
         << layer_sizes_.back() << ")";
+    // A fractional label would train as its floor.
+    SKETCHML_CHECK_EQ(instance.label, std::trunc(instance.label))
+        << "label " << instance.label << " is not a class index";
     for (const auto& f : instance.features) {
       if (f.index < input) x[n * input + f.index] = f.value;
     }

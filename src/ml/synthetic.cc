@@ -100,8 +100,12 @@ Dataset GenerateSyntheticMnist(uint64_t num_instances, int side,
   for (auto& tmpl : templates) {
     // Two random Gaussian blobs per class.
     for (int blob = 0; blob < 2; ++blob) {
-      const double cx = rng.NextUniform(4, side - 4);
-      const double cy = rng.NextUniform(4, side - 4);
+      // A 4-pixel margin where the image is wide enough (side >= 9); a
+      // smaller one shrinks it, so every centre stays on the pixel grid.
+      const double lo = std::min(4.0, 0.5 * (side - 1));
+      const double hi = std::max(lo, side - 4.0);
+      const double cx = rng.NextUniform(lo, hi);
+      const double cy = rng.NextUniform(lo, hi);
       const double sigma = rng.NextUniform(2.0, 4.0);
       for (int y = 0; y < side; ++y) {
         for (int x = 0; x < side; ++x) {

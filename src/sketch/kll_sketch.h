@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,20 @@ namespace sketchml::sketch {
 /// two a query returns) may differ. NaN has no order and is not
 /// supported; `Deserialize` rejects it.
 ///
+/// Two rules keep a long `UpdateAll` cheap without changing that summary:
+///  - *Batched blocks.* Level 0's capacity only shrinks as levels are
+///    added, down to a floor of 8. Once it is there and level 0 is empty,
+///    every later level-0 compaction sorts the next 8 input items, so
+///    UpdateAll sorts a run of those blocks in one common::simd
+///    SortBlocks8 call and merges each block's promoted half straight into
+///    level 1.
+///  - *Cascade.* After a level fills, the compaction cascade stops at the
+///    first level below capacity. Only a capacity refresh (a level was
+///    added), `Merge` or `Deserialize` can leave some other level over
+///    capacity; each marks a pending rescan, and the next cascade from
+///    level 0 visits every level, as the sort-every-compaction build did
+///    each time.
+///
 /// Supports `Merge`, which the distributed driver uses to combine
 /// per-worker sketches.
 class KllSketch {
@@ -45,10 +60,9 @@ class KllSketch {
   void Update(double value);
 
   /// Inserts every element of `values`, in order, and leaves exactly the
-  /// state the per-item `Update` loop would. Copies `values` into level 0
-  /// a block at a time, up to its capacity, running the same compactions
-  /// as that loop.
-  void UpdateAll(const std::vector<double>& values);
+  /// state the per-item `Update` loop would, with the same compaction and
+  /// update counts.
+  void UpdateAll(std::span<const double> values);
 
   /// Number of items inserted so far.
   uint64_t Count() const { return count_; }
@@ -144,27 +158,47 @@ class KllSketch {
   /// encode hot path and must not pay a std::pow per item).
   size_t LevelCapacity(int level) const { return capacities_[level]; }
 
-  /// Recomputes `capacities_` for the current level count.
+  /// Recomputes `capacities_` for the current level count. Capacities
+  /// shrink, so this marks a pending rescan.
   void RefreshCapacities();
 
   /// Compacts `level` (sorting it first if it is level 0), merging half
   /// its items into the next level.
   void Compact(int level);
 
-  /// Compacts every level from `first` up that is at capacity.
+  /// Level 0's compaction of one sorted 8-item block, then the rest of
+  /// the cascade `CompactFullLevels(0)` runs after it.
+  void CompactBlock(const double* sorted);
+
+  /// Compacts every level from `first` up that is at capacity: all of
+  /// them while a rescan is pending (a scan from level 0 clears it),
+  /// otherwise up to the first level below capacity.
   void CompactFullLevels(int first);
+
+  /// Compacts levels from `level` up while they are at capacity; with
+  /// `full`, visits every level instead of stopping below capacity.
+  void Cascade(int level, bool full);
+
+  /// Adds the compactions since the last call, and `updates`, to the
+  /// `sketch/kll/*` counters.
+  void PublishCounts(uint64_t updates);
 
   /// Gathers all retained (value, weight) pairs sorted by value.
   std::vector<std::pair<double, uint64_t>> SortedItems() const;
 
   int k_;
   bool instrumented_ = true;
+  // Some level other than the one a cascade starts from may be over
+  // capacity, so the next cascade must visit every level.
+  bool rescan_ = true;
   uint64_t count_ = 0;
+  uint64_t unpublished_compactions_ = 0;
   double min_ = 0.0;
   double max_ = 0.0;
   common::Rng rng_;
   // levels_[i] holds items of weight 2^i; level 0 is unsorted, the others
-  // sorted.
+  // sorted. A level added by a compaction reserves 2k items, more than a
+  // level holds between cascades, so a build never reallocates it.
   std::vector<std::vector<double>> levels_;
   std::vector<size_t> capacities_;  // capacities_[i] = capacity of level i.
 };

@@ -249,5 +249,35 @@ TEST(CodecFactoryTest, AllCodecsRoundTripKeysExactly) {
   }
 }
 
+// The Encode contract: NaN, +inf and -inf are InvalidArgument wherever
+// they sit, and a rejected encode leaves no stream state behind, so the
+// finite message that follows keeps its exact bytes.
+TEST(CodecFactoryTest, EveryCodecRejectsNonFiniteValues) {
+  const auto grad = MakeGradient(800, 1 << 24, 179);
+  const double bad_values[] = {std::nan(""), INFINITY, -INFINITY};
+  const size_t positions[] = {0, grad.size() / 2, grad.size() - 1};
+  for (const auto& name : core::KnownCodecNames()) {
+    SCOPED_TRACE(name);
+    auto fresh = std::move(core::MakeCodec(name)).value();
+    EncodedGradient want;
+    ASSERT_TRUE(fresh->Encode(grad, &want).ok());
+
+    auto codec = std::move(core::MakeCodec(name)).value();
+    for (const double bad : bad_values) {
+      for (const size_t at : positions) {
+        common::SparseGradient poisoned = grad;
+        poisoned[at].value = bad;
+        EncodedGradient msg;
+        EXPECT_EQ(codec->Encode(poisoned, &msg).code(),
+                  common::StatusCode::kInvalidArgument)
+            << bad << " at " << at;
+      }
+    }
+    EncodedGradient got;
+    ASSERT_TRUE(codec->Encode(grad, &got).ok());
+    EXPECT_EQ(got.bytes, want.bytes);
+  }
+}
+
 }  // namespace
 }  // namespace sketchml::compress

@@ -6,10 +6,13 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/byte_buffer.h"
+#include "common/metrics_registry.h"
+#include "common/obs.h"
 #include "common/random.h"
 
 namespace sketchml::sketch {
@@ -471,6 +474,164 @@ TEST(KllReferenceTest, MergeWeightedAndSerializedSequencesMatch) {
       ExpectMatchesReference(b, ref_b);
     }
   }
+}
+
+// Sign-mixed magnitudes |N(0,1)|^3: the shape of one SketchML stream.
+std::vector<double> GradientMagnitudes(size_t n, uint64_t seed) {
+  std::vector<double> values = Stream(n, seed, /*heavy=*/false);
+  for (double& v : values) v = std::abs(v * v * v);
+  return values;
+}
+
+// The batched build of an mlp-dense stream at the codec's k: level 0 sits
+// at its 8-item floor for all but the first few thousand values.
+TEST(KllReferenceTest, MlpDenseStreamAtCodecK) {
+  const std::vector<double> values = GradientMagnitudes(265000, 17);
+  ReferenceKll ref(128, 3);
+  for (double v : values) ref.UpdateWeighted(v, 1);
+  KllSketch batched(128, 3);
+  batched.UpdateAll(values);
+  ExpectMatchesReference(batched, ref);
+}
+
+// k = 8 starts at the floor with a single level: the first block's
+// compaction adds level 1, as Compact does.
+TEST(KllReferenceTest, FloorFromTheFirstBlockAtK8) {
+  for (size_t n : {8u, 9u, 16u, 24u, 1000u, 20000u}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    const std::vector<double> values = GradientMagnitudes(n, 100 + n);
+    ReferenceKll ref(8, 4);
+    for (double v : values) ref.UpdateWeighted(v, 1);
+    KllSketch batched(8, 4);
+    batched.UpdateAll(values);
+    ExpectMatchesReference(batched, ref);
+  }
+}
+
+// Chunks that end mid-block leave level 0 partly full, so the next call
+// finishes that block on the per-item path before batching again; one
+// long chunk reaches the floor partway through.
+TEST(KllReferenceTest, ChunksStartMidBlockAndReachTheFloorMidCall) {
+  const std::vector<double> values = GradientMagnitudes(60000, 23);
+  for (size_t first : {3u, 5000u, 20000u}) {
+    SCOPED_TRACE(testing::Message() << "first=" << first);
+    ReferenceKll ref(128, 5);
+    for (double v : values) ref.UpdateWeighted(v, 1);
+    KllSketch chunked(128, 5);
+    // The first chunk, then chunks cycling through 1 to 13 items.
+    for (size_t lo = 0, len = first; lo < values.size(); len = len % 13 + 1) {
+      const size_t hi = std::min(values.size(), lo + len);
+      chunked.UpdateAll(std::span(values).subspan(lo, hi - lo));
+      lo = hi;
+    }
+    ExpectMatchesReference(chunked, ref);
+  }
+}
+
+// Merge, UpdateWeighted and Deserialize can leave a level over capacity;
+// the next cascade from level 0 must still visit every level.
+TEST(KllReferenceTest, RescanTriggersThenUpdateAll) {
+  const std::vector<double> a_values = GradientMagnitudes(30000, 31);
+  const std::vector<double> b_values = GradientMagnitudes(9000, 37);
+  const std::vector<double> after = GradientMagnitudes(40000, 41);
+  for (int k : {8, 128}) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    ReferenceKll ref_a(k, 6), ref_b(k, 7);
+    KllSketch a(k, 6), b(k, 7);
+    for (double v : a_values) ref_a.UpdateWeighted(v, 1);
+    for (double v : b_values) ref_b.UpdateWeighted(v, 1);
+    a.UpdateAll(a_values);
+    b.UpdateAll(b_values);
+
+    ref_a.Merge(ref_b);
+    a.Merge(b);
+    for (double v : after) ref_a.UpdateWeighted(v, 1);
+    a.UpdateAll(after);
+    ExpectMatchesReference(a, ref_a);
+
+    // A weight that adds levels above the top, then one in the middle.
+    for (uint64_t weight : {uint64_t{1} << 20, uint64_t{4}}) {
+      ref_a.UpdateWeighted(0.5, weight);
+      a.UpdateWeighted(0.5, weight);
+      for (double v : after) ref_a.UpdateWeighted(v, 1);
+      a.UpdateAll(after);
+      ExpectMatchesReference(a, ref_a);
+    }
+
+    common::ByteWriter writer;
+    a.Serialize(&writer);
+    common::ByteReader reader(writer.buffer());
+    KllSketch copy;
+    ASSERT_TRUE(KllSketch::Deserialize(&reader, &copy, 9).ok());
+    ReferenceKll ref_copy = ref_a;
+    ref_copy.rng = common::Rng(9);
+    for (double v : after) ref_copy.UpdateWeighted(v, 1);
+    copy.UpdateAll(after);
+    ExpectMatchesReference(copy, ref_copy);
+  }
+}
+
+// +0.0 and -0.0 compare equal, so which of the two a compaction keeps may
+// differ from the reference's; read -0.0 as +0.0, the retained items are
+// the reference's multiset of bit patterns, and both zeros survive.
+TEST(KllReferenceTest, SignedZerosAreKeptAsBitPatterns) {
+  common::Rng rng(43);
+  std::vector<double> values(50000);
+  for (double& v : values) {
+    const uint64_t pick = rng.NextBounded(4);
+    v = pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.NextGaussian();
+  }
+  for (int k : {8, 128}) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    ReferenceKll ref(k, 8);
+    for (double v : values) ref.UpdateWeighted(v, 1);
+    KllSketch batched(k, 8);
+    batched.UpdateAll(values);
+    const auto canonical = [](const std::vector<std::pair<double, uint64_t>>&
+                                  items) {
+      std::vector<std::pair<uint64_t, uint64_t>> out;
+      for (const auto& [v, w] : items) out.emplace_back(Bits(v + 0.0), w);
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    const auto got = batched.RetainedItems();
+    EXPECT_EQ(canonical(got), canonical(FromReference(ref, 1).RetainedItems()));
+    size_t negative_zeros = 0;
+    size_t positive_zeros = 0;
+    for (const auto& [v, w] : got) {
+      negative_zeros += Bits(v) == Bits(-0.0);
+      positive_zeros += Bits(v) == Bits(0.0);
+    }
+    EXPECT_GT(negative_zeros, 0u);
+    EXPECT_GT(positive_zeros, 0u);
+  }
+}
+
+// UpdateAll publishes the same sketch/kll/* totals as the per-item loop.
+TEST(KllSketchTest, UpdateAllCountsLikeThePerItemLoop) {
+  const bool was_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  const auto counts = [] {
+    const auto snap = obs::MetricsRegistry::Global().Snapshot();
+    return std::pair(snap.CounterValueOf("sketch/kll/compactions"),
+                     snap.CounterValueOf("sketch/kll/updates"));
+  };
+  const std::vector<double> values = GradientMagnitudes(100000, 47);
+  for (int k : {8, 128}) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    const auto start = counts();
+    KllSketch per_item(k, 2);
+    for (double v : values) per_item.Update(v);
+    const auto middle = counts();
+    KllSketch batched(k, 2);
+    batched.UpdateAll(values);
+    const auto end = counts();
+    EXPECT_EQ(middle.second - start.second, values.size());
+    EXPECT_EQ(end.second - middle.second, values.size());
+    EXPECT_GT(middle.first - start.first, 0.0);
+    EXPECT_EQ(end.first - middle.first, middle.first - start.first);
+  }
+  obs::SetMetricsEnabled(was_enabled);
 }
 
 TEST(KllSketchTest, NormalizedRankErrorShrinksWithK) {

@@ -384,6 +384,57 @@ TEST(MlpTest, RejectsLabelsOutsideClasses) {
   }
 }
 
+TEST(MlpTest, RejectsFractionalLabels) {
+  for (const double label : {3.7, 3.0}) {
+    std::vector<Instance> instances(2);
+    instances[0].features = {{0, 1.0f}};
+    instances[1].features = {{1, 0.5f}};
+    instances[1].label = label;
+    const Dataset data(std::move(instances), 4);
+    const Mlp mlp({4, 5, 4}, 3);
+    common::SparseGradient grad;
+    if (label == 3.0) {
+      EXPECT_GT(mlp.ComputeBatchGradient(data, 0, 2, &grad), 0.0);
+      EXPECT_FALSE(grad.empty());
+    } else {
+      EXPECT_DEATH(mlp.ComputeBatchGradient(data, 0, 2, &grad), "label");
+      EXPECT_DEATH(mlp.ComputeMeanLoss(data), "label");
+    }
+  }
+}
+
+// Every blob centre lies on the pixel grid [0, side - 1]^2, whatever the
+// side. So at the pixel nearest one centre (at most half a pixel away on
+// each axis) that blob adds at least exp(-0.5 / (2 * 2^2)), sigma being
+// at least 2, and the other, at most (side - 1) away on each axis, at
+// least exp(-2 (side - 1)^2 / (2 * 2^2)). Each class's mean image must
+// peak above that sum, less a margin for the pixel noise. Centres drawn
+// off the picture (as from the inverted range [4, side - 4)) fall short
+// of it on the smallest images.
+TEST(SyntheticMnistTest, BlobsStayInsideSmallImages) {
+  constexpr int kClasses = 3;
+  for (int side = 1; side <= 9; ++side) {
+    SCOPED_TRACE(testing::Message() << "side=" << side);
+    const Dataset data = GenerateSyntheticMnist(3000, side, kClasses, 7);
+    std::vector<std::vector<double>> sums(kClasses,
+                                          std::vector<double>(side * side));
+    std::vector<int> counts(kClasses);
+    for (const Instance& instance : data.instances()) {
+      const int label = static_cast<int>(instance.label);
+      ++counts[label];
+      for (const auto& f : instance.features) sums[label][f.index] += f.value;
+    }
+    const double far = side - 1.0;
+    const double floor =
+        std::exp(-1.0 / 16) + std::exp(-far * far / 4) - 0.02;
+    for (int c = 0; c < kClasses; ++c) {
+      ASSERT_GT(counts[c], 0);
+      const double peak = *std::max_element(sums[c].begin(), sums[c].end());
+      EXPECT_GT(peak / counts[c], floor) << "class " << c;
+    }
+  }
+}
+
 TEST(MlpTest, ApplySgdRejectsKeysPastTheParameters) {
   Mlp mlp({4, 5, 3}, 3);
   const common::SparseGradient grad = {{0, 1.0}, {mlp.NumParams(), 1.0}};

@@ -140,7 +140,8 @@ TEST(QuantileBucketQuantizerTest, ConstantValuesCollapseGracefully) {
 }
 
 TEST(QuantileBucketQuantizerTest, SingleValueStream) {
-  auto quantizer = QuantileBucketQuantizer::Build({1.5}, 4);
+  const std::vector<double> values = {1.5};
+  auto quantizer = QuantileBucketQuantizer::Build(values, 4);
   const int bucket = quantizer.BucketOf(1.5);
   EXPECT_GE(bucket, 0);
   EXPECT_LT(bucket, 4);

@@ -33,6 +33,16 @@ TEST(RngTest, NextDoubleInUnitInterval) {
   }
 }
 
+// The KLL compaction phase reads the low bit of NextUint64 in place of
+// NextBounded(2): the rejection threshold -2 % 2 is 0, so the first word
+// is always taken.
+TEST(RngTest, NextBoundedTwoIsTheLowBit) {
+  Rng bounded(11), raw(11);
+  for (int i = 0; i < 1000000; ++i) {
+    ASSERT_EQ(bounded.NextBounded(2), raw.NextUint64() & 1) << i;
+  }
+}
+
 TEST(RngTest, NextBoundedRespectsBound) {
   Rng rng(4);
   std::vector<int> counts(10, 0);

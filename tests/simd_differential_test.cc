@@ -534,6 +534,123 @@ TEST(SimdDifferentialTest, DenseForwardSkipsZeroInputs) {
   }
 }
 
+// Blocks that stress the compare-and-select rule: ties, +0.0 beside
+// -0.0, infinities, and (last) NaN.
+std::vector<double> SortBlockInputs(size_t blocks, uint64_t seed, bool nan) {
+  std::mt19937_64 rng(seed);
+  const double pool[] = {0.0, -0.0, 1.0, -1.0, 0.5,
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::denorm_min()};
+  std::vector<double> values(blocks * simd::kSortBlock);
+  for (double& v : values) {
+    const uint64_t r = rng();
+    v = r % 3 == 0 ? pool[(r >> 8) % 8]
+                   : std::ldexp(static_cast<double>(r >> 11), -40) - 4096.0;
+    if (nan && r % 97 == 0) v = std::numeric_limits<double>::quiet_NaN();
+  }
+  return values;
+}
+
+TEST(SimdDifferentialTest, SortBlocks8MatchesScalarBitForBit) {
+  for (bool nan : {false, true}) {
+    // 1 to 3 blocks run only the scalar tail; 4 and more the AVX2 body.
+    for (size_t blocks : {1u, 3u, 4u, 5u, 37u, 256u}) {
+      SCOPED_TRACE(testing::Message() << "blocks=" << blocks << " nan=" << nan);
+      const std::vector<double> in = SortBlockInputs(blocks, blocks + nan, nan);
+      std::vector<double> want(in.size());
+      {
+        LevelGuard guard(simd::Level::kScalar);
+        simd::SortBlocks8(in.data(), blocks, want.data());
+      }
+      for (simd::Level level : CompiledLevels()) {
+        LevelGuard guard(level);
+        std::vector<double> got(in.size());
+        simd::SortBlocks8(in.data(), blocks, got.data());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << simd::LevelName(level);
+      }
+      // Each block is a sorted permutation of its input's bit patterns.
+      for (size_t b = 0; b < blocks; ++b) {
+        const auto block = [b](const std::vector<double>& v) {
+          std::vector<uint64_t> bits;
+          for (size_t i = 0; i < simd::kSortBlock; ++i) {
+            bits.push_back(std::bit_cast<uint64_t>(v[b * simd::kSortBlock + i]));
+          }
+          std::sort(bits.begin(), bits.end());
+          return bits;
+        };
+        EXPECT_EQ(block(want), block(in)) << b;
+        if (!nan) {
+          EXPECT_TRUE(std::is_sorted(want.begin() + b * simd::kSortBlock,
+                                     want.begin() + (b + 1) * simd::kSortBlock))
+              << b;
+        }
+      }
+    }
+  }
+}
+
+// The 0-1 principle: a comparator network that sorts every 0/1 input
+// sorts every input.
+TEST(SimdDifferentialTest, SortBlocks8NetworkSortsEveryZeroOneInput) {
+  for (simd::Level level : CompiledLevels()) {
+    LevelGuard guard(level);
+    std::vector<double> in(256 * simd::kSortBlock);
+    for (size_t mask = 0; mask < 256; ++mask) {
+      for (size_t i = 0; i < simd::kSortBlock; ++i) {
+        in[mask * simd::kSortBlock + i] = static_cast<double>((mask >> i) & 1);
+      }
+    }
+    std::vector<double> out(in.size());
+    simd::SortBlocks8(in.data(), 256, out.data());
+    for (size_t mask = 0; mask < 256; ++mask) {
+      EXPECT_TRUE(std::is_sorted(out.begin() + mask * simd::kSortBlock,
+                                 out.begin() + (mask + 1) * simd::kSortBlock))
+          << simd::LevelName(level) << " mask=" << mask;
+    }
+  }
+}
+
+TEST(SimdDifferentialTest, FoldMinMaxMatchesTheInOrderFold) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<double>> inputs;
+  for (size_t n : {0u, 1u, 7u, 8u, 9u, 100u, 4099u}) {
+    inputs.push_back(RandomGradientValues(n, 50 + n));
+  }
+  inputs.push_back(std::vector<double>(40, 0.0));
+  std::vector<double> zeros(40, 0.0);
+  zeros[17] = -0.0;  // The fold keeps whichever zero it met first.
+  inputs.push_back(zeros);
+  std::vector<double> with_nan = RandomGradientValues(64, 9);
+  with_nan[33] = nan;
+  inputs.push_back(with_nan);
+  std::vector<double> positive = RandomGradientValues(64, 10);
+  for (double& v : positive) v = std::abs(v) + 1.0;
+  positive[5] = 0.0;  // A zero minimum.
+  inputs.push_back(positive);
+  for (const auto& values : inputs) {
+    for (const double start : {0.25, -0.0, 0.0, nan}) {
+      double want_min = start, want_max = start;
+      for (double v : values) {
+        want_min = std::min(want_min, v);
+        want_max = std::max(want_max, v);
+      }
+      for (simd::Level level : CompiledLevels()) {
+        LevelGuard guard(level);
+        double lo = start, hi = start;
+        simd::FoldMinMax(values.data(), values.size(), &lo, &hi);
+        EXPECT_EQ(std::bit_cast<uint64_t>(lo), std::bit_cast<uint64_t>(want_min))
+            << simd::LevelName(level) << " n=" << values.size();
+        EXPECT_EQ(std::bit_cast<uint64_t>(hi), std::bit_cast<uint64_t>(want_max))
+            << simd::LevelName(level) << " n=" << values.size();
+      }
+    }
+  }
+}
+
 TEST(SimdDifferentialTest, SetActiveLevelFromStringVocabulary) {
   LevelGuard guard(simd::Level::kScalar);  // Restore point.
   EXPECT_TRUE(simd::SetActiveLevelFromString("off").ok());
