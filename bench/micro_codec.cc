@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "bench/level_pin.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/sparse.h"
@@ -107,32 +108,11 @@ BENCHMARK(BM_DeltaBinaryKeysDecode)->Arg(1 << 12)->Arg(1 << 16);
 
 // --- Level-pinned kernel benches -----------------------------------------
 //
-// Each bench pins the dispatch to one level with SetActiveLevel (and
-// restores it on exit), so a single run reports scalar and AVX2 numbers
-// side by side regardless of SKETCHML_SIMD. Unsupported levels are
-// skipped, not failed, so the binary stays runnable on any host.
+// Each bench pins the dispatch to one level (bench/level_pin.h), so a
+// single run reports scalar and AVX2 numbers side by side.
 
 namespace simd = common::simd;
-
-/// Pins the dispatch level for one benchmark's scope.
-class LevelPin {
- public:
-  LevelPin(benchmark::State& state, simd::Level level)
-      : saved_(simd::ActiveLevel()) {
-    if (simd::LevelSupported(level)) {
-      simd::SetActiveLevel(level);
-    } else {
-      state.SkipWithError("level not supported on this host");
-      ok_ = false;
-    }
-  }
-  ~LevelPin() { simd::SetActiveLevel(saved_); }
-  explicit operator bool() const { return ok_; }
-
- private:
-  simd::Level saved_;
-  bool ok_ = true;
-};
+using bench::LevelPin;
 
 void BM_BucketSearch(benchmark::State& state, simd::Level level) {
   LevelPin pin(state, level);

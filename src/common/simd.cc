@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <limits>
 
 #include "common/bit_util.h"
 #include "common/logging.h"
@@ -36,6 +37,37 @@ void SortBlocks8Scalar(const double* in, size_t blocks, double* out) {
     std::copy_n(in + b * kSortBlock, kSortBlock, v);
     SortNetwork8(v, CompareSelect);
     std::copy_n(v, kSortBlock, out + b * kSortBlock);
+  }
+}
+
+// SortRun's network on positions [0, n): a comparator whose upper position
+// is +inf padding never swaps, so it is skipped rather than padded.
+void SortRunScalar(const double* in, size_t n, double* out) {
+  if (out != in) std::copy_n(in, n, out);
+  for (size_t b = 0; b < n; b += kSortBlock) {
+    double v[kSortBlock];
+    const size_t count = std::min(kSortBlock, n - b);
+    std::fill_n(std::copy_n(out + b, count, v), kSortBlock - count,
+                std::numeric_limits<double>::infinity());
+    SortNetwork8(v, CompareSelect);
+    std::copy_n(v, count, out + b);
+  }
+  const size_t padded = SortRunNetworkSize(n);
+  for (size_t w = kSortBlock; w < padded; w *= 2) {
+    for (size_t s = 0; s < n; s += 2 * w) {
+      // Item i of the pair against item 2w - 1 - i.
+      for (size_t i = s + 2 * w > n ? s + 2 * w - n : 0; i < w; ++i) {
+        CompareSelect(out[s + i], out[s + 2 * w - 1 - i]);
+      }
+      for (size_t h = w / 2; h > 0; h /= 2) {
+        for (size_t t = s; t + h < std::min(n, s + 2 * w); t += 2 * h) {
+          const size_t count = std::min(h, n - t - h);
+          for (size_t i = 0; i < count; ++i) {
+            CompareSelect(out[t + i], out[t + h + i]);
+          }
+        }
+      }
+    }
   }
 }
 
@@ -146,6 +178,7 @@ void DenseBackpropScalar(const double* w, const double* d, const double* act,
 
 const Kernels kScalarKernels = {
     &SortBlocks8Scalar,
+    &SortRunScalar,
     &FoldMinMaxScalar,
     &BucketSearchScalar,
     &HashBucketsScalar,
@@ -254,6 +287,10 @@ Status SetActiveLevelFromString(const std::string& name) {
 
 void SortBlocks8(const double* in, size_t blocks, double* out) {
   ActiveKernels().sort_blocks8(in, blocks, out);
+}
+
+void SortRun(const double* in, size_t n, double* out) {
+  ActiveKernels().sort_run(in, n, out);
 }
 
 void FoldMinMax(const double* values, size_t count, double* min,

@@ -1,6 +1,7 @@
 #ifndef SKETCHML_COMMON_SIMD_H_
 #define SKETCHML_COMMON_SIMD_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -10,9 +11,9 @@
 namespace sketchml::common::simd {
 
 /// The runtime-dispatch seam for the repo's batch kernels: the KLL build's
-/// (level-0 block sort, min/max fold), the codec pipeline's (bucket
-/// search, sketch hashing, delta keys) and the Fig 14 MLP's dense layers
-/// (docs/perf.md).
+/// (level-0 block sort, level-0 run sort, min/max fold), the codec
+/// pipeline's (bucket search, sketch hashing, delta keys) and the Fig 14
+/// MLP's dense layers (docs/perf.md).
 ///
 /// Every kernel below has a scalar implementation (always compiled, the
 /// reference semantics) and optionally an AVX2 implementation (compiled
@@ -76,6 +77,24 @@ inline constexpr size_t kSortBlock = 8;
 /// and keep the network's order, and NaN, which has no order, is moved
 /// but never lost.
 void SortBlocks8(const double* in, size_t blocks, double* out);
+
+/// KLL level-0 compaction sort below the 8-item floor: sorts the `n`
+/// values of `in` ascending into `out`, which may be `in` itself (an
+/// in-place sort) but must not otherwise overlap it. Any `n` is accepted.
+///
+/// The result is defined by one comparator network, run on every level:
+/// pad the run with +inf to 8 * 2^m items, sort each block of 8 with
+/// SortNetwork8, then merge neighbouring runs of 8, 16, 32, ... with
+/// bitonic merges (compare item i of the pair with item 2w - 1 - i, then
+/// half-cleaners of stride w / 2, ..., 1). Every comparator is the one
+/// SortBlocks8 uses: it puts the lesser value at the lower position and
+/// swaps only when the upper value is strictly below the lower one. So
+/// +0.0 and -0.0 come out in the network's order, the same bits on every
+/// level (not necessarily std::sort's order), and the +inf padding never
+/// moves. NaN has no order: a run holding one comes out as the same
+/// permutation of its input's bit patterns on every level, but need not
+/// be sorted.
+void SortRun(const double* in, size_t n, double* out);
 
 /// The in-order fold of std::min and std::max: for i ascending, *min =
 /// std::min(*min, values[i]) and *max = std::max(*max, values[i]). A
@@ -158,10 +177,17 @@ inline void SortNetwork8(T* v, Cas&& cas) {
   cas(v[1], v[2]), cas(v[3], v[4]), cas(v[5], v[6]);
 }
 
+/// The padded size SortRun's network sorts: 8 * 2^m, the least such size
+/// that holds `n` items.
+inline size_t SortRunNetworkSize(size_t n) {
+  return kSortBlock * std::bit_ceil((n + kSortBlock - 1) / kSortBlock);
+}
+
 /// One kernel table per level. The scalar table is the reference; the
 /// AVX2 table must match it bit for bit.
 struct Kernels {
   void (*sort_blocks8)(const double*, size_t, double*);
+  void (*sort_run)(const double*, size_t, double*);
   void (*fold_min_max)(const double*, size_t, double*, double*);
   size_t (*bucket_search)(const double*, size_t, const double*, size_t,
                           uint16_t*);

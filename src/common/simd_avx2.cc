@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -33,15 +34,16 @@ namespace {
 // KLL build: level-0 block sort and the min/max fold.
 //
 // SortBlocks8 transposes 4 blocks so register i holds value i of each, runs
-// the shared 19-comparator network on whole registers (compare, then two
-// blends: the same swap-iff-less rule as the scalar comparator, so the
-// outputs match it bit for bit) and transposes back.
+// the shared 19-comparator network on whole registers (a min and a max:
+// the same swap-iff-less rule as the scalar comparator, so the outputs
+// match it bit for bit) and transposes back.
 // ---------------------------------------------------------------------------
 
+// min(b, a) is b < a ? b : a and max(a, b) is a > b ? a : b, lane by
+// lane: the scalar comparator's swap-iff-less rule in two instructions.
 inline void CompareSelect4(__m256d& a, __m256d& b) {
-  const __m256d swap = _mm256_cmp_pd(b, a, _CMP_LT_OQ);
-  const __m256d lo = _mm256_blendv_pd(a, b, swap);
-  b = _mm256_blendv_pd(b, a, swap);
+  const __m256d lo = _mm256_min_pd(b, a);
+  b = _mm256_max_pd(a, b);
   a = lo;
 }
 
@@ -79,6 +81,174 @@ void SortBlocks8Avx2(const double* in, size_t blocks, double* out) {
   }
   kScalarKernels.sort_blocks8(in + b * kSortBlock, blocks - b,
                               out + b * kSortBlock);
+}
+
+// ---------------------------------------------------------------------------
+// Run sort: SortRun's network on rows, a row being 4 consecutive positions
+// in one register. Up to 32 positions are sorted in 8 registers: the block
+// network on 4 transposed blocks, then the merges of runs of 8 and 16.
+// Longer runs are sorted 32 at a time into a scratch buffer and merged
+// there: each comparator stride of 32 or more is a pass over rows in
+// memory, and the strides below 32 finish one 32-item group in registers.
+// Rows wholly past n hold only padding, so every comparator against one is
+// skipped, and a group past n is never touched.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kRowsPerGroup = 8;
+constexpr size_t kGroup = 4 * kRowsPerGroup;
+// Scratch positions a run sort keeps on the stack (level 0 at k = 512).
+constexpr size_t kStackRun = 512;
+
+inline __m256d Reverse4(__m256d x) { return _mm256_permute4x64_pd(x, 0x1B); }
+
+// The comparators of stride 2, then 1, inside one row.
+inline __m256d CleanRow(__m256d x) {
+  __m256d y = _mm256_permute4x64_pd(x, 0x4E);
+  x = _mm256_blend_pd(_mm256_min_pd(y, x), _mm256_max_pd(y, x), 0b1100);
+  y = _mm256_permute_pd(x, 0b0101);
+  return _mm256_blend_pd(_mm256_min_pd(y, x), _mm256_max_pd(y, x), 0b1010);
+}
+
+// Half-cleaners over `Rows` rows, from a stride of `Stride` rows down to
+// the strides inside each row.
+template <size_t Rows, size_t Stride>
+inline void CleanRows(__m256d* r) {
+  for (size_t d = Stride; d > 0; d /= 2) {
+    for (size_t s = 0; s < Rows; s += 2 * d) {
+      for (size_t i = 0; i < d; ++i) CompareSelect4(r[s + i], r[s + i + d]);
+    }
+  }
+  for (size_t i = 0; i < Rows; ++i) r[i] = CleanRow(r[i]);
+}
+
+// Bitonic merge of the sorted runs r[0, Rows/2) and r[Rows/2, Rows).
+template <size_t Rows>
+inline void MergeRows(__m256d* r) {
+  for (size_t i = 0; i < Rows / 2; ++i) {
+    __m256d upper = Reverse4(r[Rows - 1 - i]);
+    CompareSelect4(r[i], upper);
+    r[Rows - 1 - i] = Reverse4(upper);
+  }
+  CleanRows<Rows, Rows / 4>(r);
+}
+
+// Sorts the 4 blocks of 8 held in r (block b in rows 2b and 2b + 1), then
+// runs the first `merges` merge levels.
+inline void SortGroup(__m256d* r, size_t merges) {
+  __m256d v[kSortBlock] = {r[0], r[2], r[4], r[6], r[1], r[3], r[5], r[7]};
+  Transpose4(v);
+  Transpose4(v + 4);
+  SortNetwork8(v, CompareSelect4);
+  Transpose4(v);
+  Transpose4(v + 4);
+  for (size_t b = 0; b < 4; ++b) {
+    r[2 * b] = v[b];
+    r[2 * b + 1] = v[4 + b];
+  }
+  if (merges >= 1) {
+    MergeRows<4>(r);
+    MergeRows<4>(r + 4);
+  }
+  if (merges >= 2) MergeRows<8>(r);
+}
+
+// All-ones in the lanes below `count` (1 to 3).
+inline __m256i TailMask(size_t count) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<int64_t>(count)),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+// Loads the 8 rows from `in`, which holds `count` items; positions past
+// them read as +inf, and nothing past them is touched.
+inline void LoadGroup(const double* in, size_t count, __m256d* r) {
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  for (size_t i = 0; i < kRowsPerGroup; ++i) {
+    const size_t at = 4 * i;
+    if (at + 4 <= count) {
+      r[i] = _mm256_loadu_pd(in + at);
+    } else if (at >= count) {
+      r[i] = inf;
+    } else {
+      const __m256i mask = TailMask(count - at);
+      r[i] = _mm256_blendv_pd(inf, _mm256_maskload_pd(in + at, mask),
+                              _mm256_castsi256_pd(mask));
+    }
+  }
+}
+
+void SortRunAvx2(const double* in, size_t n, double* out) {
+  __m256d r[kRowsPerGroup];
+  if (n <= kGroup) {
+    // Merge levels of the network: runs of 8 up to SortRunNetworkSize(n).
+    const size_t merges = static_cast<size_t>(
+        std::countr_zero(SortRunNetworkSize(n) / kSortBlock));
+    LoadGroup(in, n, r);
+    SortGroup(r, merges);
+    for (size_t i = 0; 4 * i < n; ++i) {
+      if (4 * i + 4 <= n) {
+        _mm256_storeu_pd(out + 4 * i, r[i]);
+      } else {
+        _mm256_maskstore_pd(out + 4 * i, TailMask(n - 4 * i), r[i]);
+      }
+    }
+    return;
+  }
+  const size_t used = (n + kGroup - 1) / kGroup * kGroup;
+  alignas(32) double stack[kStackRun];
+  std::vector<double> heap;
+  double* x = stack;
+  if (used > kStackRun) {
+    heap.resize(used);
+    x = heap.data();
+  }
+  for (size_t g = 0; g < n; g += kGroup) {
+    LoadGroup(in + g, n - g, r);
+    SortGroup(r, 2);
+    for (size_t i = 0; i < kRowsPerGroup; ++i) {
+      _mm256_storeu_pd(x + g + 4 * i, r[i]);
+    }
+  }
+  const auto compare_rows = [x](size_t lower, size_t upper) {
+    __m256d a = _mm256_loadu_pd(x + lower);
+    __m256d b = _mm256_loadu_pd(x + upper);
+    CompareSelect4(a, b);
+    _mm256_storeu_pd(x + lower, a);
+    _mm256_storeu_pd(x + upper, b);
+  };
+  const size_t padded = SortRunNetworkSize(n);
+  for (size_t w = kGroup; w < padded; w *= 2) {
+    for (size_t s = 0; s < n; s += 2 * w) {
+      // Row i of the pair against the reversed row 2w - 4 - i, from the
+      // first such row that holds an item.
+      const size_t last_row = s + 2 * w - 4;
+      for (size_t i = last_row >= n ? (last_row - n) / 4 * 4 + 4 : 0; i < w;
+           i += 4) {
+        double* upper = x + last_row - i;
+        __m256d a = _mm256_loadu_pd(x + s + i);
+        __m256d b = Reverse4(_mm256_loadu_pd(upper));
+        CompareSelect4(a, b);
+        _mm256_storeu_pd(x + s + i, a);
+        _mm256_storeu_pd(upper, Reverse4(b));
+      }
+      for (size_t h = w / 2; h >= kGroup; h /= 2) {
+        for (size_t t = s; t + h < std::min(n, s + 2 * w); t += 2 * h) {
+          for (size_t i = 0; i < h && t + h + i < n; i += 4) {
+            compare_rows(t + i, t + h + i);
+          }
+        }
+      }
+      for (size_t t = s; t < std::min(n, s + 2 * w); t += kGroup) {
+        for (size_t i = 0; i < kRowsPerGroup; ++i) {
+          r[i] = _mm256_loadu_pd(x + t + 4 * i);
+        }
+        CleanRows<kRowsPerGroup, kRowsPerGroup / 2>(r);
+        for (size_t i = 0; i < kRowsPerGroup; ++i) {
+          _mm256_storeu_pd(x + t + 4 * i, r[i]);
+        }
+      }
+    }
+  }
+  std::memcpy(out, x, n * sizeof(double));
 }
 
 // Lane-parallel min/max. Folded in any order they reach the scalar fold's
@@ -681,6 +851,7 @@ void DenseBackpropAvx2(const double* w, const double* d, const double* act,
 
 const Kernels kAvx2Kernels = {
     &SortBlocks8Avx2,
+    &SortRunAvx2,
     &FoldMinMaxAvx2,
     &BucketSearchAvx2,
     &HashBucketsAvx2,

@@ -1,6 +1,8 @@
 #include "compress/quantile_bucket_quantizer.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/metrics_registry.h"
@@ -26,7 +28,12 @@ QuantileBucketQuantizer::QuantileBucketQuantizer(std::vector<double> splits)
   SKETCHML_CHECK(std::is_sorted(splits_.begin(), splits_.end()));
   means_.reserve(splits_.size() - 1);
   for (size_t i = 0; i + 1 < splits_.size(); ++i) {
-    means_.push_back(0.5 * (splits_[i] + splits_[i + 1]));
+    // Two finite splits near DBL_MAX can overflow the sum; halving each
+    // first keeps the mean finite, and the sum is used wherever it is.
+    const double a = splits_[i];
+    const double b = splits_[i + 1];
+    const double sum = a + b;
+    means_.push_back(std::isfinite(sum) ? 0.5 * sum : 0.5 * a + 0.5 * b);
   }
   // Midpoints of sorted split intervals must themselves be monotone;
   // a violation means the split computation produced a non-bucket.
@@ -90,8 +97,12 @@ void QuantileBucketQuantizer::SerializeMeans(
   writer->WriteVarint(means_.size());
   // float32 is plenty: the quantization error of the bucket itself is
   // orders of magnitude above float precision, and it halves the fixed
-  // per-message header (the paper's 8q term becomes 4q).
-  for (double m : means_) writer->WriteFloat(static_cast<float>(m));
+  // per-message header (the paper's 8q term becomes 4q). A mean past
+  // float's range saturates at +-FLT_MAX instead of becoming inf.
+  constexpr double kFloatMax = std::numeric_limits<float>::max();
+  for (double m : means_) {
+    writer->WriteFloat(static_cast<float>(std::clamp(m, -kFloatMax, kFloatMax)));
+  }
 }
 
 common::Status QuantileBucketQuantizer::DeserializeMeans(
@@ -106,6 +117,9 @@ common::Status QuantileBucketQuantizer::DeserializeMeans(
   for (auto& m : q.means_) {
     float f = 0.0f;
     SKETCHML_RETURN_IF_ERROR(reader->ReadFloat(&f));
+    if (!std::isfinite(f)) {
+      return common::Status::CorruptedData("non-finite bucket mean");
+    }
     m = f;
   }
   *out = std::move(q);

@@ -57,11 +57,13 @@ class QuantileBucketQuantizer {
   const std::vector<double>& splits() const { return splits_; }
   const std::vector<double>& means() const { return means_; }
 
-  /// Serializes only what decoding needs: the bucket means (8q bytes,
-  /// §3.5 space analysis).
+  /// Serializes only what decoding needs: the bucket means, as float32
+  /// (4q bytes; §3.5 counts 8q for doubles). A mean beyond float's range
+  /// is written as +-FLT_MAX, so every finite input decodes finite.
   void SerializeMeans(common::ByteWriter* writer) const;
 
   /// Reads back a means-only quantizer usable for MeanOf (not BucketOf).
+  /// A non-finite mean is CorruptedData: SerializeMeans never writes one.
   static common::Status DeserializeMeans(common::ByteReader* reader,
                                          QuantileBucketQuantizer* out);
 

@@ -1,5 +1,9 @@
 #include "core/sketchml_config.h"
 
+#include <string>
+
+#include "sketch/kll_sketch.h"
+
 namespace sketchml::core {
 
 common::Status SketchMlConfig::Validate() const {
@@ -19,8 +23,12 @@ common::Status SketchMlConfig::Validate() const {
   if (min_cols < 1) {
     return common::Status::InvalidArgument("min_cols must be positive");
   }
-  if (quantile_sketch_k < 8) {
-    return common::Status::InvalidArgument("quantile_sketch_k must be >= 8");
+  if (quantile_sketch_k < sketch::KllSketch::kMinK ||
+      quantile_sketch_k > sketch::KllSketch::kMaxK) {
+    return common::Status::InvalidArgument(
+        "quantile_sketch_k must be in [" +
+        std::to_string(sketch::KllSketch::kMinK) + ", " +
+        std::to_string(sketch::KllSketch::kMaxK) + "]");
   }
   return common::Status::Ok();
 }

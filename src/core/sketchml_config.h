@@ -32,7 +32,8 @@ struct SketchMlConfig {
   /// Minimum total columns, so tiny gradients still get a usable table.
   int min_cols = 16;
 
-  /// Size parameter of the KLL quantile sketch (paper: 128 by default).
+  /// Size parameter of the KLL quantile sketch (paper: 128 by default), in
+  /// [sketch::KllSketch::kMinK, sketch::KllSketch::kMaxK].
   int quantile_sketch_k = 128;
 
   /// Separate positive/negative quantization (§3.3 Solution 1). Disabling

@@ -127,8 +127,13 @@ common::Status GroupedMinMaxSketch::Deserialize(common::ByteReader* reader,
   uint64_t num_buckets = 0, num_groups = 0;
   SKETCHML_RETURN_IF_ERROR(reader->ReadVarint(&num_buckets));
   SKETCHML_RETURN_IF_ERROR(reader->ReadVarint(&num_groups));
+  // Each group's sketch takes at least 11 bytes (rows, cols, an 8-byte
+  // seed, one cell), so a group count the blob cannot hold is rejected
+  // before reserving room for it.
+  constexpr uint64_t kMinGroupBytes = 11;
   if (num_buckets == 0 || num_groups == 0 || num_groups > num_buckets ||
-      num_buckets > (1ULL << 20)) {
+      num_buckets > (1ULL << 20) ||
+      num_groups > reader->remaining() / kMinGroupBytes) {
     return common::Status::CorruptedData("implausible grouped sketch shape");
   }
   GroupedMinMaxSketch result;

@@ -27,20 +27,27 @@ namespace sketchml::sketch {
 /// quantile queries with ~1 % rank error at better-than-99 % confidence,
 /// matching the "99 % correctness when m = 256" claim quoted in §2.3.
 ///
-/// Levels >= 1 stay sorted: a compaction sorts only level 0 and merges
-/// its promoted half into the next level in place. The summary is the one
-/// a sort at every compaction would build, except that +0.0 and -0.0
-/// compare equal, so their order within a level (and hence which of the
-/// two a query returns) may differ. NaN has no order and is not
-/// supported; `Deserialize` rejects it.
+/// Levels >= 1 stay sorted: a compaction sorts only level 0, with the
+/// common::simd SortRun network, and merges its promoted half into the
+/// next level in place. The summary is the one a sort at every compaction
+/// would build, except that +0.0 and -0.0 compare equal, so their order
+/// within a level (and hence which of the two a query returns) may differ
+/// from std::sort's; it is the same on every SIMD level. NaN has no order
+/// and is not supported; `Deserialize` rejects it.
 ///
-/// Two rules keep a long `UpdateAll` cheap without changing that summary:
-///  - *Batched blocks.* Level 0's capacity only shrinks as levels are
-///    added, down to a floor of 8. Once it is there and level 0 is empty,
-///    every later level-0 compaction sorts the next 8 input items, so
-///    UpdateAll sorts a run of those blocks in one common::simd
-///    SortBlocks8 call and merges each block's promoted half straight into
-///    level 1.
+/// Three rules keep a long `UpdateAll` cheap without changing that
+/// summary:
+///  - *Below the floor.* Level 0's capacity only shrinks as levels are
+///    added, down to a floor of 8. Above the floor, a compaction of level
+///    0 that holds at most one item (the largest of an odd-size
+///    compaction before it) sorts the input items that fill it straight
+///    from the input into a stack buffer with SortRun, inserts the held
+///    item, and merges the promoted half straight into level 1, so level
+///    0 is never filled and copied.
+///  - *Batched blocks.* Once level 0 is at the floor and empty, every
+///    later level-0 compaction sorts the next 8 input items, so UpdateAll
+///    sorts a run of those blocks in one common::simd SortBlocks8 call and
+///    merges each block's promoted half straight into level 1.
 ///  - *Cascade.* After a level fills, the compaction cascade stops at the
 ///    first level below capacity. Only a capacity refresh (a level was
 ///    added), `Merge` or `Deserialize` can leave some other level over
@@ -52,8 +59,15 @@ namespace sketchml::sketch {
 /// per-worker sketches.
 class KllSketch {
  public:
-  /// `k` controls accuracy/space (level-0 capacity). `seed` drives the
-  /// random compaction phase; fixed seed => deterministic sketch.
+  /// Bounds on `k`. The tree uses at most 512; the upper bound keeps a
+  /// sketch's buffers small and lets Deserialize reject a corrupt k
+  /// before it allocates.
+  static constexpr int kMinK = 8;
+  static constexpr int kMaxK = 1 << 16;
+
+  /// `k` controls accuracy/space (level-0 capacity), in [kMinK, kMaxK].
+  /// `seed` drives the random compaction phase; fixed seed =>
+  /// deterministic sketch.
   explicit KllSketch(int k = 256, uint64_t seed = 1);
 
   /// Inserts one item.
@@ -81,10 +95,10 @@ class KllSketch {
   /// Min(), then each Quantile(i / num_splits) for 0 < i < num_splits
   /// raised to the previous split if it falls below it, then Max()
   /// raised the same way. The result is non-decreasing. Answers every
-  /// rank from one SortedItems() pass with prefix weights, ~num_splits
-  /// times cheaper than a Quantile call per split, with bit-identical
-  /// results (pinned by tests/kll_sketch_test.cc); this sits on the
-  /// encode hot path via QuantileBucketQuantizer::Build.
+  /// rank in one forward sweep over the merged levels (SortedItems),
+  /// ~num_splits times cheaper than a Quantile call per split, with
+  /// bit-identical results (pinned by tests/kll_sketch_test.cc); this sits
+  /// on the encode hot path via QuantileBucketQuantizer::Build.
   std::vector<double> EqualDepthSplits(int num_splits) const;
 
   /// Merges `other` into this sketch. Equivalent to having updated this
@@ -166,6 +180,13 @@ class KllSketch {
   /// its items into the next level.
   void Compact(int level);
 
+  /// The compaction of `level` once it holds the `n` ascending items of
+  /// `sorted` (which may be the level's own buffer): merges a random-phase
+  /// half of them into the next level, adding it if needed, and leaves
+  /// the largest item behind when `n` is odd. The cascade above is the
+  /// caller's.
+  void PromoteHalf(const double* sorted, size_t n, int level);
+
   /// Level 0's compaction of one sorted 8-item block, then the rest of
   /// the cascade `CompactFullLevels(0)` runs after it.
   void CompactBlock(const double* sorted);
@@ -183,7 +204,9 @@ class KllSketch {
   /// `sketch/kll/*` counters.
   void PublishCounts(uint64_t updates);
 
-  /// Gathers all retained (value, weight) pairs sorted by value.
+  /// All retained (value, weight) pairs sorted by (value, weight): a
+  /// sorted copy of level 0, then each sorted level above merged in, ties
+  /// keeping the lower level first.
   std::vector<std::pair<double, uint64_t>> SortedItems() const;
 
   int k_;

@@ -279,5 +279,33 @@ TEST(CodecFactoryTest, EveryCodecRejectsNonFiniteValues) {
   }
 }
 
+// Finite extremes: a bucket mean of two splits near DBL_MAX, or one past
+// float's range, must not reach the wire as inf. Every finite input
+// decodes finite, with its sign.
+TEST(CodecFactoryTest, FiniteExtremesDecodeFiniteWithTheirSign) {
+  const double extremes[][3] = {
+      {1e39, -1e39, 1e39}, {1e300, -1e300, 1e300}, {1.7e308, -1.7e308, 1.7e308}};
+  for (const char* name : {"sketchml", "adam+key+quan"}) {
+    for (const auto& bad : extremes) {
+      SCOPED_TRACE(testing::Message() << name << " " << bad[0]);
+      common::SparseGradient grad = MakeGradient(2000, 1 << 24, 401);
+      grad[10].value = bad[0];
+      grad[1000].value = bad[1];
+      grad[1990].value = bad[2];
+      auto codec = std::move(core::MakeCodec(name)).value();
+      EncodedGradient msg;
+      ASSERT_TRUE(codec->Encode(grad, &msg).ok());
+      common::SparseGradient decoded;
+      ASSERT_TRUE(codec->Decode(msg, &decoded).ok());
+      ASSERT_EQ(decoded.size(), grad.size());
+      for (size_t i = 0; i < grad.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(decoded[i].value)) << i;
+        ASSERT_EQ(std::signbit(decoded[i].value), std::signbit(grad[i].value))
+            << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sketchml::compress

@@ -2,7 +2,9 @@
 // the wire bytes — truncation, random byte flips, random garbage — by
 // returning a Status (or, for undetectable flips, a decoded gradient),
 // never by crashing, hanging, or attempting giant allocations. Whatever
-// an OK decode yields, its keys strictly increase.
+// an OK decode yields, its keys strictly increase. The sketch blobs a node
+// reads outside the codecs (KLL, MinMax and grouped MinMax state) get the
+// same treatment.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_buffer.h"
 #include "common/framing.h"
 #include "common/random.h"
 #include "common/sparse.h"
 #include "core/codec_factory.h"
+#include "sketch/grouped_min_max_sketch.h"
+#include "sketch/kll_sketch.h"
+#include "sketch/min_max_sketch.h"
 
 namespace sketchml::compress {
 namespace {
@@ -191,6 +197,178 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecFuzzTest,
                            }
                            return name;
                          });
+
+// --- Sketch blobs ---------------------------------------------------------
+
+using Blob = std::vector<uint8_t>;
+
+/// `blob` with the varint at `offset` replaced by `value`.
+Blob PatchVarint(const Blob& blob, size_t offset, uint64_t value) {
+  size_t end = offset;
+  while (blob[end] & 0x80) ++end;
+  common::ByteWriter varint;
+  varint.WriteVarint(value);
+  Blob out(blob.begin(), blob.begin() + offset);
+  out.insert(out.end(), varint.buffer().begin(), varint.buffer().end());
+  out.insert(out.end(), blob.begin() + end + 1, blob.end());
+  return out;
+}
+
+/// `blob` with the little-endian fixed-width field at `offset` set.
+template <typename T>
+Blob PatchFixed(const Blob& blob, size_t offset, T value) {
+  Blob out = blob;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out[offset + i] = static_cast<uint8_t>(static_cast<uint64_t>(value) >> (8 * i));
+  }
+  return out;
+}
+
+// Each parser deserializes into a fresh sketch and sets *sane when the
+// result, if OK, holds the sketch's own invariants.
+common::Status ParseKll(const Blob& blob, bool* sane) {
+  common::ByteReader reader(blob);
+  sketch::KllSketch out;
+  const common::Status status = sketch::KllSketch::Deserialize(&reader, &out);
+  *sane = !status.ok() || out.InvariantsHold();
+  return status;
+}
+
+common::Status ParseMinMax(const Blob& blob, bool* sane) {
+  common::ByteReader reader(blob);
+  sketch::MinMaxSketch out(1, 1);
+  *sane = true;
+  return sketch::MinMaxSketch::Deserialize(&reader, &out);
+}
+
+common::Status ParseGrouped(const Blob& blob, bool* sane) {
+  common::ByteReader reader(blob);
+  sketch::GroupedMinMaxSketch out(2, 1, 1, 1);
+  *sane = true;
+  return sketch::GroupedMinMaxSketch::Deserialize(&reader, &out);
+}
+
+struct SketchBlob {
+  std::string name;
+  Blob bytes;
+  common::Status (*parse)(const Blob&, bool* sane);
+  // Blobs whose length or k field says 2^31, 2^40 or 2^63.
+  std::vector<Blob> patched;
+};
+
+std::vector<SketchBlob> SketchBlobs() {
+  const uint64_t huge[] = {uint64_t{1} << 31, uint64_t{1} << 40,
+                           uint64_t{1} << 63};
+  std::vector<SketchBlob> blobs;
+
+  sketch::KllSketch kll(64, 3);
+  common::Rng rng(331);
+  for (int i = 0; i < 3000; ++i) kll.Update(rng.NextGaussian());
+  common::ByteWriter kll_writer;
+  kll.Serialize(&kll_writer);
+  SketchBlob kll_blob{"kll", kll_writer.buffer(), &ParseKll, {}};
+  // Version (1), k (4), count (8), min, max (8 each), level count, then
+  // level 0's length.
+  constexpr size_t kKOffset = 1, kCountOffset = 5, kLevel0Offset = 30;
+  kll_blob.patched.push_back(
+      PatchFixed(kll_blob.bytes, kKOffset, static_cast<uint32_t>(huge[0])));
+  for (uint64_t value : huge) {
+    kll_blob.patched.push_back(PatchFixed(kll_blob.bytes, kCountOffset, value));
+    kll_blob.patched.push_back(
+        PatchVarint(kll_blob.bytes, kLevel0Offset, value));
+    // The count raised to match, so only the length check stands.
+    kll_blob.patched.push_back(PatchVarint(
+        PatchFixed(kll_blob.bytes, kCountOffset, value), kLevel0Offset, value));
+  }
+  blobs.push_back(std::move(kll_blob));
+
+  sketch::MinMaxSketch minmax(2, 64, 5);
+  for (uint64_t key = 0; key < 200; ++key) {
+    minmax.Insert(key, static_cast<uint8_t>(key % 200));
+  }
+  common::ByteWriter minmax_writer;
+  minmax.Serialize(&minmax_writer);
+  SketchBlob minmax_blob{"minmax", minmax_writer.buffer(), &ParseMinMax, {}};
+  // Rows, then cols, are the first two varints.
+  for (uint64_t value : huge) {
+    minmax_blob.patched.push_back(PatchVarint(minmax_blob.bytes, 0, value));
+    minmax_blob.patched.push_back(PatchVarint(minmax_blob.bytes, 1, value));
+  }
+  blobs.push_back(std::move(minmax_blob));
+
+  sketch::GroupedMinMaxSketch grouped(256, 8, 2, 512);
+  for (uint64_t key = 0; key < 500; ++key) {
+    grouped.Insert(key * 7, static_cast<int>(key % 256));
+  }
+  common::ByteWriter grouped_writer;
+  grouped.Serialize(&grouped_writer);
+  SketchBlob grouped_blob{"grouped", grouped_writer.buffer(), &ParseGrouped,
+                          {}};
+  // Bucket count (2 bytes for 256), then group count.
+  for (uint64_t value : huge) {
+    grouped_blob.patched.push_back(PatchVarint(grouped_blob.bytes, 0, value));
+    grouped_blob.patched.push_back(PatchVarint(grouped_blob.bytes, 2, value));
+    // The first group's rows and cols.
+    grouped_blob.patched.push_back(PatchVarint(grouped_blob.bytes, 3, value));
+    grouped_blob.patched.push_back(PatchVarint(grouped_blob.bytes, 4, value));
+  }
+  blobs.push_back(std::move(grouped_blob));
+  return blobs;
+}
+
+TEST(SketchBlobFuzzTest, IntactBlobsParse) {
+  for (const SketchBlob& blob : SketchBlobs()) {
+    bool sane = false;
+    EXPECT_TRUE(blob.parse(blob.bytes, &sane).ok()) << blob.name;
+    EXPECT_TRUE(sane) << blob.name;
+  }
+}
+
+TEST(SketchBlobFuzzTest, TruncationAtEveryPrefixFails) {
+  for (const SketchBlob& blob : SketchBlobs()) {
+    for (size_t len = 0; len < blob.bytes.size(); ++len) {
+      bool sane = false;
+      EXPECT_FALSE(
+          blob.parse(Blob(blob.bytes.begin(), blob.bytes.begin() + len), &sane)
+              .ok())
+          << blob.name << " prefix " << len;
+    }
+  }
+}
+
+TEST(SketchBlobFuzzTest, HugeLengthAndKFieldsFail) {
+  for (const SketchBlob& blob : SketchBlobs()) {
+    for (size_t i = 0; i < blob.patched.size(); ++i) {
+      bool sane = false;
+      EXPECT_FALSE(blob.parse(blob.patched[i], &sane).ok())
+          << blob.name << " patch " << i;
+    }
+  }
+}
+
+// A flipped item or table byte can still parse; whatever parses must hold
+// the sketch's invariants, and nothing may abort or over-allocate.
+TEST(SketchBlobFuzzTest, SurvivesSeededBitFlips) {
+  common::Rng rng(337);
+  for (const SketchBlob& blob : SketchBlobs()) {
+    for (int trial = 0; trial < 300; ++trial) {
+      Blob flipped = blob.bytes;
+      const int flips = 1 + static_cast<int>(rng.NextBounded(4));
+      for (int f = 0; f < flips; ++f) {
+        // Half the flips land in the first 40 bytes, where the shapes live.
+        const size_t span = trial % 2 == 0
+                                ? std::min<size_t>(40, flipped.size())
+                                : flipped.size();
+        flipped[rng.NextBounded(span)] ^=
+            static_cast<uint8_t>(1u << rng.NextBounded(8));
+      }
+      bool sane = false;
+      const common::Status status = blob.parse(flipped, &sane);
+      EXPECT_TRUE(sane) << blob.name << " trial " << trial << ": "
+                        << status.ToString();
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sketchml::compress

@@ -206,6 +206,64 @@ TEST(KllSketchTest, DeserializeRejectsCorruptPayloads) {
   common::ByteReader nan_reader(nan_item);
   EXPECT_EQ(KllSketch::Deserialize(&nan_reader, &out).code(),
             common::StatusCode::kCorruptedData);
+
+  // A k past kMaxK, which the constructor would CHECK or fail to reserve:
+  // k sits after the version byte.
+  for (uint32_t k : {uint32_t{1} << 31, (uint32_t{1} << 31) - 1,
+                     static_cast<uint32_t>(KllSketch::kMaxK) + 1}) {
+    std::vector<uint8_t> big_k = bytes;
+    std::memcpy(big_k.data() + 1, &k, sizeof(k));
+    common::ByteReader k_reader(big_k);
+    EXPECT_EQ(KllSketch::Deserialize(&k_reader, &out).code(),
+              common::StatusCode::kCorruptedData)
+        << k;
+  }
+
+  // Hand-built blobs: version, k, count, min, max, level count, then each
+  // level's length and items.
+  const auto blob = [](uint64_t count,
+                       const std::vector<std::pair<uint64_t, size_t>>& levels) {
+    common::ByteWriter w;
+    w.WriteU8(1);
+    w.WriteU32(64);
+    w.WriteU64(count);
+    w.WriteDouble(0.0);
+    w.WriteDouble(1.0);
+    w.WriteVarint(levels.size());
+    for (const auto& [length, items] : levels) {
+      w.WriteVarint(length);
+      for (size_t i = 0; i < items; ++i) w.WriteDouble(0.5);
+    }
+    return w.buffer();
+  };
+  // A level length of 2^40 with only 4 items on the wire: rejected before
+  // allocating.
+  const auto huge_level = blob(uint64_t{1} << 40, {{uint64_t{1} << 40, 4}});
+  common::ByteReader huge_reader(huge_level);
+  EXPECT_EQ(KllSketch::Deserialize(&huge_reader, &out).code(),
+            common::StatusCode::kCorruptedData);
+  // Two items at level 63 weigh 2^64, which wraps to 0: the weights would
+  // sum to the count of 2 with level 0's two items.
+  std::vector<std::pair<uint64_t, size_t>> wrapping(64, {0, 0});
+  wrapping[0] = {2, 2};
+  wrapping[63] = {2, 2};
+  const auto wrap = blob(2, wrapping);
+  common::ByteReader wrap_reader(wrap);
+  EXPECT_EQ(KllSketch::Deserialize(&wrap_reader, &out).code(),
+            common::StatusCode::kCorruptedData);
+  // The same shape without the wrap parses.
+  wrapping[63] = {0, 0};
+  const auto fine = blob(2, wrapping);
+  common::ByteReader fine_reader(fine);
+  EXPECT_TRUE(KllSketch::Deserialize(&fine_reader, &out).ok());
+}
+
+TEST(KllSketchTest, ConstructorBoundsK) {
+  EXPECT_DEATH(KllSketch(KllSketch::kMinK - 1), "");
+  EXPECT_DEATH(KllSketch(KllSketch::kMaxK + 1), "");
+  KllSketch largest(KllSketch::kMaxK);
+  largest.Update(1.0);
+  EXPECT_EQ(largest.Count(), 1u);
 }
 
 TEST(KllSketchTest, UpdateWeightedMatchesRepeatedUpdates) {
@@ -431,6 +489,39 @@ TEST(KllReferenceTest, EqualDepthSplitsMatchQuantilePerSplit) {
   }
 }
 
+// Heavy ties across levels: the merged levels must order equal values by
+// ascending level, as sorting (value, weight) pairs does, or a rank that
+// lands inside a run of ties picks the wrong item.
+TEST(KllReferenceTest, EqualDepthSplitsMatchQuantilePerSplitOnHeavyTies) {
+  for (int k : {8, 128, 512}) {
+    for (size_t n : {37u, 3113u, 16296u, 100000u}) {
+      for (size_t distinct : {1u, 2u, 5u}) {
+        common::Rng rng(n + distinct);
+        std::vector<double> values(n);
+        for (double& v : values) {
+          v = static_cast<double>(rng.NextBounded(distinct)) * 0.25;
+        }
+        KllSketch sketch(k, 7);
+        sketch.UpdateAll(values);
+        for (int num_splits : {3, 16, 256}) {
+          SCOPED_TRACE(testing::Message()
+                       << "k=" << k << " n=" << n << " distinct=" << distinct
+                       << " splits=" << num_splits);
+          const auto got = sketch.EqualDepthSplits(num_splits);
+          const auto want = QuantilePerSplit(sketch, num_splits);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(Bits(got[i]), Bits(want[i])) << i;
+          }
+        }
+        // The retained items are ordered by (value, weight).
+        const auto items = sketch.RetainedItems();
+        EXPECT_TRUE(std::is_sorted(items.begin(), items.end()));
+      }
+    }
+  }
+}
+
 TEST(KllReferenceTest, MergeWeightedAndSerializedSequencesMatch) {
   for (int k : {8, 128, 256}) {
     for (size_t n : {1u, 7u, 129u, 3100u, 100000u}) {
@@ -492,6 +583,52 @@ TEST(KllReferenceTest, MlpDenseStreamAtCodecK) {
   KllSketch batched(128, 3);
   batched.UpdateAll(values);
   ExpectMatchesReference(batched, ref);
+}
+
+// kdd12-sized streams below the floor (a worker stream holds ~3,100
+// values, a broadcast one 16,296), where every level-0 compaction sorts a
+// chunk of 11 to 128 items with SortRun, and larger k, whose level 0
+// holds more than 128 items.
+TEST(KllReferenceTest, StreamsBelowTheFloorAndLargeK) {
+  const std::pair<int, size_t> cases[] = {
+      {128, 1500}, {128, 6000}, {128, 16296}, {256, 3113}, {256, 20000},
+      {512, 3113}, {512, 20000}};
+  for (const auto& [k, n] : cases) {
+    for (bool heavy : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " n=" << n
+                                      << " heavy=" << heavy);
+      std::vector<double> values = Stream(n, 5000 + n + k, heavy);
+      if (!heavy) {
+        for (double& v : values) v = std::abs(v * v * v);
+      }
+      ReferenceKll ref(k, 11);
+      for (double v : values) ref.UpdateWeighted(v, 1);
+      KllSketch batched(k, 11), per_item(k, 11);
+      batched.UpdateAll(values);
+      for (double v : values) per_item.Update(v);
+      ExpectMatchesReference(batched, ref);
+      ExpectMatchesReference(per_item, ref);
+    }
+  }
+}
+
+// Odd level-0 capacities (85, 37, 25 and 11 at k = 128) leave their
+// largest item behind, and it joins the next chunk. Chunks that end right
+// after a compaction, one item later, or mid-chunk exercise the leftover
+// on both the chunk path and the fill path.
+TEST(KllReferenceTest, OddCapacityLeftoversJoinTheNextChunk) {
+  const std::vector<double> values = GradientMagnitudes(16296, 59);
+  for (size_t len : {1u, 10u, 11u, 12u, 36u, 37u, 38u, 85u, 86u, 200u}) {
+    SCOPED_TRACE(testing::Message() << "len=" << len);
+    ReferenceKll ref(128, 13);
+    KllSketch chunked(128, 13);
+    for (size_t lo = 0; lo < values.size(); lo += len) {
+      const size_t hi = std::min(values.size(), lo + len);
+      for (size_t i = lo; i < hi; ++i) ref.UpdateWeighted(values[i], 1);
+      chunked.UpdateAll(std::span(values).subspan(lo, hi - lo));
+    }
+    ExpectMatchesReference(chunked, ref);
+  }
 }
 
 // k = 8 starts at the floor with a single level: the first block's

@@ -614,6 +614,110 @@ TEST(SimdDifferentialTest, SortBlocks8NetworkSortsEveryZeroOneInput) {
   }
 }
 
+std::vector<uint64_t> SortedBits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  std::sort(bits.begin(), bits.end());
+  return bits;
+}
+
+// Runs that stress SortRun's network: every kind of tie, +0.0 beside
+// -0.0, infinities, denormals, and presorted runs.
+std::vector<std::vector<double>> SortRunInputs(size_t n) {
+  std::mt19937_64 rng(1000 + n);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<std::vector<double>> runs(8, std::vector<double>(n));
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t r = rng();
+    runs[0][i] = std::ldexp(static_cast<double>(r >> 11), -40) - 4096.0;
+    runs[1][i] = 0.75;                                  // All equal.
+    runs[2][i] = static_cast<double>(r % 3) - 1.0;      // Many ties.
+    runs[3][i] = r % 3 == 0 ? 0.0 : r % 3 == 1 ? -0.0 : 1.0;
+    runs[4][i] = r % 4 == 0 ? inf : r % 4 == 1 ? -inf : runs[0][i];
+    runs[5][i] = static_cast<double>(r % 7) * denorm * (r % 2 ? 1 : -1);
+    runs[6][i] = static_cast<double>(i);                // Sorted.
+    runs[7][i] = -static_cast<double>(i);               // Reversed.
+  }
+  return runs;
+}
+
+TEST(SimdDifferentialTest, SortRunMatchesScalarAndStdSortAtEveryN) {
+  for (size_t n = 0; n <= 512; ++n) {
+    for (const std::vector<double>& in : SortRunInputs(n)) {
+      std::vector<double> want(n);
+      {
+        LevelGuard guard(simd::Level::kScalar);
+        simd::SortRun(in.data(), n, want.data());
+      }
+      for (simd::Level level : CompiledLevels()) {
+        LevelGuard guard(level);
+        std::vector<double> got(n);
+        simd::SortRun(in.data(), n, got.data());
+        ASSERT_TRUE(SameBits(got, want))
+            << simd::LevelName(level) << " n=" << n;
+        std::vector<double> in_place = in;
+        simd::SortRun(in_place.data(), n, in_place.data());
+        ASSERT_TRUE(SameBits(in_place, want))
+            << simd::LevelName(level) << " in place, n=" << n;
+      }
+      // std::sort's result, with only the order of +0.0 and -0.0 free.
+      ASSERT_EQ(SortedBits(want), SortedBits(in)) << "n=" << n;
+      std::vector<double> sorted = in;
+      std::sort(sorted.begin(), sorted.end());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(want[i] + 0.0),
+                  std::bit_cast<uint64_t>(sorted[i] + 0.0))
+            << "n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+// NaN has no order, but it is neither lost to the +inf padding nor
+// placed differently on another level.
+TEST(SimdDifferentialTest, SortRunKeepsNanRunsAsPermutations) {
+  for (size_t n : {1u, 5u, 8u, 13u, 31u, 33u, 37u, 85u, 128u, 300u}) {
+    std::vector<double> in = SortRunInputs(n)[0];
+    for (size_t i = 0; i < n; i += 3) {
+      in[i] = std::numeric_limits<double>::quiet_NaN();
+    }
+    std::vector<double> want(n);
+    {
+      LevelGuard guard(simd::Level::kScalar);
+      simd::SortRun(in.data(), n, want.data());
+    }
+    EXPECT_EQ(SortedBits(want), SortedBits(in)) << "n=" << n;
+    for (simd::Level level : CompiledLevels()) {
+      LevelGuard guard(level);
+      std::vector<double> got(n);
+      simd::SortRun(in.data(), n, got.data());
+      EXPECT_TRUE(SameBits(got, want)) << simd::LevelName(level) << " n=" << n;
+    }
+  }
+}
+
+// The 0-1 principle: a comparator network that sorts every 0/1 input
+// sorts every input. Exhaustive up to 16 items, sampled beyond.
+TEST(SimdDifferentialTest, SortRunNetworkSortsZeroOneInputs) {
+  std::mt19937_64 rng(7);
+  for (simd::Level level : CompiledLevels()) {
+    LevelGuard guard(level);
+    for (size_t n = 1; n <= 512; n += n < 16 ? 1 : 7) {
+      const size_t trials = n <= 16 ? size_t{1} << n : 200;
+      std::vector<double> v(n);
+      for (size_t t = 0; t < trials; ++t) {
+        for (size_t i = 0; i < n; ++i) {
+          v[i] = static_cast<double>(n <= 16 ? (t >> i) & 1 : rng() & 1);
+        }
+        simd::SortRun(v.data(), n, v.data());
+        ASSERT_TRUE(std::is_sorted(v.begin(), v.end()))
+            << simd::LevelName(level) << " n=" << n << " t=" << t;
+      }
+    }
+  }
+}
+
 TEST(SimdDifferentialTest, FoldMinMaxMatchesTheInOrderFold) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<std::vector<double>> inputs;

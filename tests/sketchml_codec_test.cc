@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "common/sparse.h"
 #include "common/thread_pool.h"
+#include "sketch/kll_sketch.h"
 #include "compress/delta_binary_key_codec.h"
 #include "compress/raw_codec.h"
 #include "core/sketchml_config.h"
@@ -64,6 +65,10 @@ TEST(SketchMlConfigTest, RejectsBadValues) {
   config = SketchMlConfig();
   config.quantile_sketch_k = 2;
   EXPECT_FALSE(config.Validate().ok());
+  config.quantile_sketch_k = sketch::KllSketch::kMaxK + 1;
+  EXPECT_FALSE(config.Validate().ok());
+  config.quantile_sketch_k = sketch::KllSketch::kMaxK;
+  EXPECT_TRUE(config.Validate().ok());
 }
 
 TEST(SketchMlCodecTest, KeysRoundTripExactly) {
