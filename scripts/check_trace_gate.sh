@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Trace-structure gate: replays a pinned fault-injected training run with
 # causal tracing on, rebuilds the per-batch span trees with
-# `sketchml_trace`, and diffs the *structural* section of its report
-# against the checked-in golden JSON.
+# `sketchml_report --trace`, and diffs the *structural* section of its
+# critical-path report against the checked-in golden JSON.
 #
 # Structure (span counts per category, batches, pushes, transfer/retry
 # attempts, byte totals, orphan/multi-root counts) is deterministic for a
@@ -10,13 +10,13 @@
 # and the differ ignores it. The gate therefore fails only when causal
 # wiring changes: a span gains/loses a parent, a retry stops being
 # recorded, a category is dropped — or when the trace ring overflows
-# (sketchml_trace exits 2 on dropped events).
+# (sketchml_report exits 2 on dropped events).
 #
 # Usage:
-#   scripts/check_trace_gate.sh [TRAIN_BIN] [TRACE_BIN] [GOLDEN]
+#   scripts/check_trace_gate.sh [TRAIN_BIN] [REPORT_BIN] [GOLDEN]
 # Defaults assume a ./build tree. Regenerate the golden after an intended
 # tracing change with:
-#   scripts/check_trace_gate.sh --regen [TRAIN_BIN] [TRACE_BIN]
+#   scripts/check_trace_gate.sh --regen [TRAIN_BIN] [REPORT_BIN]
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -36,20 +36,21 @@ golden_default="$repo_root/bench/golden/trace_gate.structural.json"
 
 if [[ "${1:-}" == "--regen" ]]; then
   train_bin="${2:-$repo_root/build/tools/sketchml_train}"
-  trace_bin="${3:-$repo_root/build/tools/sketchml_trace}"
+  report_bin="${3:-$repo_root/build/tools/sketchml_report}"
   workdir="$(mktemp -d)"
   trap 'rm -rf "$workdir"' EXIT
   run_train "$train_bin" "$workdir/trace.json"
-  "$trace_bin" "$workdir/trace.json" --json="$golden_default" --quiet
+  "$report_bin" --trace="$workdir/trace.json" --json="$golden_default" \
+    --quiet
   echo "regenerated $golden_default"
   exit 0
 fi
 
 train_bin="${1:-$repo_root/build/tools/sketchml_train}"
-trace_bin="${2:-$repo_root/build/tools/sketchml_trace}"
+report_bin="${2:-$repo_root/build/tools/sketchml_report}"
 golden="${3:-$golden_default}"
 
-for bin in "$train_bin" "$trace_bin"; do
+for bin in "$train_bin" "$report_bin"; do
   if [[ ! -x "$bin" ]]; then
     echo "error: $bin not built" >&2
     exit 2
@@ -66,9 +67,9 @@ trace="$workdir/trace.json"
 
 run_train "$train_bin" "$trace"
 
-# sketchml_trace itself enforces: no dropped events (exit 2), no orphan
+# sketchml_report itself enforces: no dropped events (exit 2), no orphan
 # spans or multi-root batches (exit 1), structural diff clean (exit 1).
-if "$trace_bin" "$trace" --diff-golden="$golden" --quiet; then
+if "$report_bin" --trace="$trace" --diff-golden="$golden" --quiet; then
   echo "trace gate: PASS"
 else
   status=$?

@@ -170,9 +170,8 @@ TaskFuture<T> Deferred(F&& fn) {
 }
 
 /// Fixed-size thread pool with future-returning submission and exception
-/// propagation. Tasks start in FIFO order. Used by the distributed-
-/// training simulator to run simulated executors concurrently and by
-/// `SketchMlCodec` to encode its two sign streams in parallel.
+/// propagation. Tasks start in FIFO order. The distributed-training
+/// simulator's batch stages run its executors, broadcast and loss on one.
 ///
 /// Thread-safe: any thread (including pool workers) may `Submit`.
 class ThreadPool {

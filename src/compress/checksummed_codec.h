@@ -26,10 +26,6 @@ class ChecksummedCodec : public GradientCodec {
     return std::make_unique<ChecksummedCodec>(inner_->Fork(lane));
   }
 
-  void SetThreadPool(common::ThreadPool* pool) override {
-    inner_->SetThreadPool(pool);
-  }
-
   /// The framing itself is stateless; checkpoint state is the inner
   /// codec's.
   void SaveState(common::ByteWriter* writer) const override {

@@ -13,10 +13,6 @@
 #include "common/status.h"
 #include "sketch/sketch_histogram.h"
 
-namespace sketchml::common {
-class ThreadPool;
-}  // namespace sketchml::common
-
 namespace sketchml::compress {
 
 /// A serialized gradient message as it would travel over the network.
@@ -101,17 +97,13 @@ class GradientCodec {
   /// instance. Input may be arbitrary bytes off a corrupted checkpoint:
   /// implementations must bounds-check and return kCorruptedData rather
   /// than crash, leaving the instance usable (fresh-equivalent) on error.
+  /// Whether a blob parses depends on the codec's shape, never its seed
+  /// lane, so a caller may validate a blob on a fork before applying it.
   [[nodiscard]] virtual common::Status RestoreState(
       common::ByteReader* reader) {
     (void)reader;
     return common::Status::Ok();
   }
-
-  /// Offers a thread pool for intra-message parallelism (e.g. encoding
-  /// sign streams concurrently). Optional: the default ignores it, and a
-  /// codec must produce byte-identical output with or without a pool.
-  /// The pool must outlive the codec or be cleared with nullptr.
-  virtual void SetThreadPool(common::ThreadPool* pool) { (void)pool; }
 
   /// Attaches an extra metric label to this instance's "codec/..."
   /// counters (the trainer tags each per-worker fork with worker=<w>).

@@ -38,10 +38,6 @@ class ErrorFeedbackCodec : public GradientCodec {
     return std::make_unique<ErrorFeedbackCodec>(inner_->Fork(lane));
   }
 
-  void SetThreadPool(common::ThreadPool* pool) override {
-    inner_->SetThreadPool(pool);
-  }
-
   /// Chains the inner codec's state, then the residual map as a count
   /// plus key-sorted (varint key, double value) pairs — sorted so the
   /// blob is a pure function of the residual multiset (the map's

@@ -1,5 +1,6 @@
 #include "compress/one_bit_codec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -8,6 +9,22 @@
 #include "common/byte_buffer.h"
 
 namespace sketchml::compress {
+namespace {
+
+/// Mean magnitude of one sign's `count` values, which sum to `sum`; where
+/// that overflows, the sum of each magnitude / count, saturated.
+double MeanMagnitude(const common::SparseGradient& grad, bool positive,
+                     double sum, uint64_t count) {
+  if (count == 0) return 0.0;
+  if (std::isfinite(sum)) return sum / count;
+  double mean = 0.0;
+  for (const auto& p : grad) {
+    if ((p.value >= 0) == positive) mean += std::abs(p.value) / count;
+  }
+  return std::min(mean, std::numeric_limits<double>::max());
+}
+
+}  // namespace
 
 common::Status OneBitCodec::EncodeImpl(const common::SparseGradient& grad,
                                    EncodedGradient* out) {
@@ -25,8 +42,10 @@ common::Status OneBitCodec::EncodeImpl(const common::SparseGradient& grad,
       ++neg_count;
     }
   }
-  writer.WriteDouble(pos_count > 0 ? pos_sum / pos_count : 0.0);
-  writer.WriteDouble(neg_count > 0 ? neg_sum / neg_count : 0.0);
+  writer.WriteDouble(MeanMagnitude(grad, /*positive=*/true, pos_sum,
+                                    pos_count));
+  writer.WriteDouble(MeanMagnitude(grad, /*positive=*/false, neg_sum,
+                                    neg_count));
 
   for (const auto& p : grad) {
     if (p.key > std::numeric_limits<uint32_t>::max()) {

@@ -13,6 +13,8 @@ namespace sketchml::compress {
 /// sign * (mean magnitude of that sign's values). The paper dismisses this
 /// family as "too aggressive ... to get converged" (§1.1, §5); it is here
 /// so that claim can be measured (see `theory_validation`).
+/// Extreme values: where a sign's magnitudes sum past DBL_MAX, its mean is
+/// taken term by term and saturates, so every finite input decodes finite.
 class OneBitCodec : public GradientCodec {
  public:
   std::string Name() const override { return "onebit"; }

@@ -1,5 +1,6 @@
 #include "compress/qsgd_codec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -85,7 +86,14 @@ common::Status QsgdCodec::EncodeImpl(const common::SparseGradient& grad,
 
   double norm_sq = 0.0;
   for (const auto& p : grad) norm_sq += p.value * p.value;
-  const double norm = std::sqrt(norm_sq);
+  double norm = std::sqrt(norm_sq);
+  if (!std::isfinite(norm)) {
+    // The squares overflowed; hypot never squares. Any norm at least the
+    // largest magnitude keeps the levels unbiased, so DBL_MAX will do.
+    norm = 0.0;
+    for (const auto& p : grad) norm = std::hypot(norm, p.value);
+    norm = std::min(norm, std::numeric_limits<double>::max());
+  }
   writer.WriteDouble(norm);
 
   for (const auto& p : grad) {
@@ -149,8 +157,13 @@ common::Status QsgdCodec::DecodeImpl(const EncodedGradient& in,
     uint64_t gamma = 0;
     SKETCHML_RETURN_IF_ERROR(bits.ReadEliasGamma(&gamma));
     const uint64_t level = gamma - 1;
-    const double magnitude =
+    double magnitude =
         norm * static_cast<double>(level) / static_cast<double>(levels);
+    if (!std::isfinite(magnitude)) {
+      // norm * level overflowed; the level's share of the norm cannot.
+      magnitude =
+          norm * (static_cast<double>(level) / static_cast<double>(levels));
+    }
     const bool positive = (signs[i / 8] >> (i % 8)) & 1;
     (*out)[i].value = positive ? magnitude : -magnitude;
   }

@@ -19,6 +19,9 @@ namespace sketchml::compress {
 /// gradients, so they compress well; we store them with Elias-gamma
 /// bit codes as the QSGD paper proposes. Keys stay 4-byte ints (QSGD,
 /// like ZipML, targets dense vectors).
+/// Extreme values: where the squared norm overflows, the norm is summed
+/// with hypot and saturates at DBL_MAX, which keeps the levels unbiased;
+/// every finite input decodes finite, with its sign.
 class QsgdCodec : public GradientCodec {
  public:
   /// `levels` is the paper's s (quantization levels per sign).

@@ -1,5 +1,6 @@
 #include "compress/raw_codec.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/byte_buffer.h"
@@ -18,11 +19,13 @@ common::Status RawCodec::EncodeImpl(const common::SparseGradient& grad,
     }
     writer.WriteU32(static_cast<uint32_t>(pair.key));
   }
+  constexpr double kFloatMax = std::numeric_limits<float>::max();
   for (const auto& pair : grad) {
     if (is_double) {
       writer.WriteDouble(pair.value);
     } else {
-      writer.WriteFloat(static_cast<float>(pair.value));
+      writer.WriteFloat(
+          static_cast<float>(std::clamp(pair.value, -kFloatMax, kFloatMax)));
     }
   }
   out->bytes = writer.TakeBuffer();

@@ -14,7 +14,8 @@ enum class ValueType { kDouble, kFloat };
 /// plus 8-byte double (or 4-byte float) values, 12d (or 8d) bytes total.
 ///
 /// With kFloat, values round-trip through IEEE float, which is the only
-/// loss this codec introduces.
+/// loss this codec introduces. Extreme values: a value past float's range
+/// saturates at +-FLT_MAX, so every finite input decodes finite.
 class RawCodec : public GradientCodec {
  public:
   explicit RawCodec(ValueType value_type = ValueType::kDouble)

@@ -8,6 +8,28 @@
 #include "common/logging.h"
 
 namespace sketchml::compress {
+namespace {
+
+/// The grid step (hi - lo) / levels. Where hi - lo overflows, each end is
+/// divided first; everywhere else this is the plain quotient.
+double GridStep(double lo, double hi, uint64_t levels) {
+  if (!(hi > lo)) return 0.0;
+  const double step = (hi - lo) / static_cast<double>(levels);
+  if (std::isfinite(step)) return step;
+  return hi / static_cast<double>(levels) - lo / static_cast<double>(levels);
+}
+
+/// Grid level `level`'s value, lo + level * step. Where that overflows it
+/// is computed at half scale and kept in [lo, hi], where the exact value
+/// lies, so every level of a finite range is finite.
+double GridValue(double lo, double hi, double step, uint64_t level) {
+  const double value = lo + static_cast<double>(level) * step;
+  if (std::isfinite(value)) return value;
+  const double half = 0.5 * lo + static_cast<double>(level) * (0.5 * step);
+  return 2.0 * std::min(std::max(half, 0.5 * lo), 0.5 * hi);
+}
+
+}  // namespace
 
 ZipMlCodec::ZipMlCodec(int bits, uint64_t seed, bool stochastic_rounding)
     : bits_(bits),
@@ -43,11 +65,12 @@ common::Status ZipMlCodec::EncodeImpl(const common::SparseGradient& grad,
   }
 
   const uint64_t levels = (1ULL << bits_) - 1;
-  const double width = hi > lo ? (hi - lo) / static_cast<double>(levels) : 0.0;
+  const double width = GridStep(lo, hi, levels);
   for (const auto& p : grad) {
     uint64_t level = 0;
     if (width > 0.0) {
-      const double exact = (p.value - lo) / width;
+      double exact = (p.value - lo) / width;
+      if (!std::isfinite(exact)) exact = p.value / width - lo / width;
       const double floor_level = std::floor(exact);
       double chosen = floor_level;
       if (stochastic_rounding_) {
@@ -88,11 +111,11 @@ common::Status ZipMlCodec::DecodeImpl(const EncodedGradient& in,
   out->assign(count, {});
   SKETCHML_RETURN_IF_ERROR(ReadRawKeys(&reader, out));
   const uint64_t levels = (1ULL << bits) - 1;
-  const double width = hi > lo ? (hi - lo) / static_cast<double>(levels) : 0.0;
+  const double width = GridStep(lo, hi, levels);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t level = 0;
     SKETCHML_RETURN_IF_ERROR(reader.ReadUintN(bits / 8, &level));
-    (*out)[i].value = lo + static_cast<double>(level) * width;
+    (*out)[i].value = GridValue(lo, hi, width, level);
   }
   return common::Status::Ok();
 }

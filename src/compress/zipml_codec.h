@@ -20,6 +20,9 @@ namespace sketchml::compress {
 /// The failure mode SketchML exploits (§4.3): gradients concentrate near
 /// zero, so with a uniform grid most values collapse onto the level
 /// nearest zero, stalling convergence close to the optimum.
+/// Extreme values: where max - min overflows, the step and each level are
+/// computed without it, so every finite input decodes finite and within
+/// one step. Signs are not kept: a small value's levels may straddle 0.
 class ZipMlCodec : public GradientCodec {
  public:
   /// `bits` per value, 8 or 16 (Table 4 evaluates both). `seed` drives

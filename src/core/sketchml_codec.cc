@@ -11,7 +11,6 @@
 #include "common/byte_buffer.h"
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "compress/delta_binary_key_codec.h"
 #include "compress/quantile_bucket_quantizer.h"
 #include "sketch/grouped_min_max_sketch.h"
@@ -228,8 +227,6 @@ common::Status SketchMlCodec::EncodeImpl(const common::SparseGradient& grad,
   writer.WriteVarint(grad.size());
   last_space_cost_.header_bytes = writer.size();
 
-  const SignStream& pos = streams_[0];
-  const SignStream& neg = streams_[1];
   SplitBySign(grad, config_.separate_signs, &streams_[0], &streams_[1]);
 
   // Distinct seeds per message keep hash functions fresh across epochs
@@ -237,39 +234,12 @@ common::Status SketchMlCodec::EncodeImpl(const common::SparseGradient& grad,
   const uint64_t seed = config_.seed + 0x9E3779B97F4A7C15ULL * encode_calls_;
   ++encode_calls_;
 
-  if (pool_ != nullptr && pos.size > 0 && neg.size > 0) {
-    // Each stream is a self-contained byte span, so the positive stream
-    // can build in a side buffer on the pool while this thread encodes
-    // the negative stream; concatenation reproduces the serial layout
-    // byte for byte. The two share no buffer. TaskFuture::Get runs the
-    // task inline if no pool thread has picked it up, so this nests
-    // safely inside pool tasks (the trainer's simulated workers).
-    common::ByteWriter pos_writer(pos.size * 2 + 64);
-    SpaceCost pos_cost;
-    auto pos_task = pool_->Submit([this, seed, &pos, &pos_writer, &pos_cost] {
-      return EncodeStream(pos, config_, seed, &scratch_[0], &pos_writer,
-                          &pos_cost);
-    });
-    common::ByteWriter neg_writer(neg.size * 2 + 64);
-    SpaceCost neg_cost;
-    const common::Status neg_status = EncodeStream(
-        neg, config_, seed + 1, &scratch_[1], &neg_writer, &neg_cost);
-    SKETCHML_RETURN_IF_ERROR(pos_task.Get());
-    SKETCHML_RETURN_IF_ERROR(neg_status);
-    writer.WriteBytes(pos_writer.buffer());
-    writer.WriteBytes(neg_writer.buffer());
-    last_space_cost_.bucket_mean_bytes =
-        pos_cost.bucket_mean_bytes + neg_cost.bucket_mean_bytes;
-    last_space_cost_.sketch_bytes =
-        pos_cost.sketch_bytes + neg_cost.sketch_bytes;
-    last_space_cost_.key_bytes = pos_cost.key_bytes + neg_cost.key_bytes;
-  } else {
-    SKETCHML_RETURN_IF_ERROR(EncodeStream(pos, config_, seed, &scratch_[0],
-                                          &writer, &last_space_cost_));
-    SKETCHML_RETURN_IF_ERROR(EncodeStream(neg, config_, seed + 1,
-                                          &scratch_[0], &writer,
-                                          &last_space_cost_));
-  }
+  SKETCHML_RETURN_IF_ERROR(EncodeStream(streams_[0], config_, seed,
+                                        &scratch_, &writer,
+                                        &last_space_cost_));
+  SKETCHML_RETURN_IF_ERROR(EncodeStream(streams_[1], config_, seed + 1,
+                                        &scratch_, &writer,
+                                        &last_space_cost_));
   out->bytes = writer.TakeBuffer();
   return common::Status::Ok();
 }

@@ -81,11 +81,6 @@ class SketchMlCodec : public compress::GradientCodec {
   /// counter (see common::LaneSeed).
   std::unique_ptr<compress::GradientCodec> Fork(uint64_t lane) const override;
 
-  /// With a pool, Encode runs its two sign streams as parallel tasks.
-  /// Output bytes are identical with or without a pool: each stream is a
-  /// self-contained byte span, so only wall-clock changes.
-  void SetThreadPool(common::ThreadPool* pool) override { pool_ = pool; }
-
   /// Stream state is the message counter: each Encode seeds its sketches
   /// from (config seed, encode_calls_), so restoring the counter replays
   /// the original's message-seed sequence exactly.
@@ -136,12 +131,8 @@ class SketchMlCodec : public compress::GradientCodec {
   SketchMlConfig config_;
   SpaceCost last_space_cost_;
   uint64_t encode_calls_ = 0;
-  common::ThreadPool* pool_ = nullptr;
   SignStream streams_[2];  // Positive, negative; reused across calls.
-  // Both streams run on scratch_[0], except that a pool task encoding the
-  // positive stream leaves it to that task and this thread takes
-  // scratch_[1].
-  EncodeScratch scratch_[2];
+  EncodeScratch scratch_;  // Both streams, one after the other.
   DecodeScratch decode_scratch_;
 };
 

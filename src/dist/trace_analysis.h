@@ -80,10 +80,10 @@ struct StragglerRow {
   uint64_t batches_bounded = 0;
 };
 
-/// Everything `sketchml_trace` reports. Split into *structural* facts —
-/// deterministic for a fixed seed at any thread count, diffed exactly by
-/// the golden gate — and *timing* facts, which depend on host wall clock
-/// and are ignored by the diff.
+/// Everything `sketchml_report --trace` reports. Split into *structural*
+/// facts — deterministic for a fixed seed at any thread count, diffed
+/// exactly by the golden gate — and *timing* facts, which depend on host
+/// wall clock and are ignored by the diff.
 struct CriticalPathReport {
   // -- Structural ----------------------------------------------------
   uint64_t epochs = 0;          // ("trainer", "epoch") roots.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -41,21 +43,30 @@ uint8_t MagnitudeBucket(double value) {
   return static_cast<uint8_t>(std::clamp(bucket, 0, 254));
 }
 
-/// Clears a batch's dense accumulator when it leaves scope, so every early
-/// return (a worker's error, a quorum failure, a bad key, an exception)
-/// leaves it clean for the next batch. A successful batch drains it first.
-class ClearOnExit {
- public:
-  explicit ClearOnExit(common::KeyAccumulator* acc) : acc_(acc) {}
-  ~ClearOnExit() {
-    if (acc_->touched() > 0) acc_->Clear();
+/// A fresh optimizer for `config`: Adam (the paper's) or plain SGD.
+std::unique_ptr<ml::Optimizer> MakeOptimizer(uint64_t dim,
+                                             const TrainerConfig& config) {
+  if (config.use_adam) {
+    return std::make_unique<ml::AdamOptimizer>(
+        dim, config.learning_rate, 0.9, 0.999, config.adam_epsilon);
   }
-  ClearOnExit(const ClearOnExit&) = delete;
-  ClearOnExit& operator=(const ClearOnExit&) = delete;
+  return std::make_unique<ml::SgdOptimizer>(dim, config.learning_rate);
+}
 
- private:
-  common::KeyAccumulator* acc_;
-};
+/// Adds one message's |sent - decoded| to `error_l1` and |sent| to
+/// `ref_l1`; keys are exact, so the sorted lists walk in lockstep.
+void AddRecoveryError(const common::SparseGradient& sent,
+                      const common::SparseGradient& got, double* error_l1,
+                      double* ref_l1) {
+  size_t j = 0;
+  for (const auto& pair : sent) {
+    while (j < got.size() && got[j].key < pair.key) ++j;
+    const double value =
+        (j < got.size() && got[j].key == pair.key) ? got[j].value : 0.0;
+    *error_l1 += std::abs(value - pair.value);
+    *ref_l1 += std::abs(pair.value);
+  }
+}
 
 }  // namespace
 
@@ -156,14 +167,7 @@ DistributedTrainer::DistributedTrainer(
   if (codec_ == nullptr) {
     codec_ = std::make_unique<compress::RawCodec>();
   }
-  if (config_.use_adam) {
-    optimizer_ = std::make_unique<ml::AdamOptimizer>(
-        train->dim(), config_.learning_rate, 0.9, 0.999,
-        config_.adam_epsilon);
-  } else {
-    optimizer_ = std::make_unique<ml::SgdOptimizer>(train->dim(),
-                                                    config_.learning_rate);
-  }
+  optimizer_ = MakeOptimizer(train->dim(), config_);
 
   // One forked codec per worker lane — one per id in the membership
   // universe, not just the starting fleet, so a worker that joins later
@@ -181,8 +185,6 @@ DistributedTrainer::DistributedTrainer(
   }
   if (num_threads_ > 1) {
     pool_ = std::make_unique<common::ThreadPool>(num_threads_, "trainer");
-    for (auto& codec : worker_codecs_) codec->SetThreadPool(pool_.get());
-    codec_->SetThreadPool(pool_.get());
   }
 
   if (obs::MetricsEnabled()) {
@@ -247,14 +249,11 @@ DistributedTrainer::DistributedTrainer(
     auto& registry = obs::MetricsRegistry::Global();
     for (int w = 0; w < fleet; ++w) {
       const std::string ws = std::to_string(w);
-      fault_metrics_.injected_drop.push_back(registry.GetCounter(
-          "fault/injected", {{"kind", "drop"}, {"worker", ws}}));
-      fault_metrics_.injected_corrupt.push_back(registry.GetCounter(
-          "fault/injected", {{"kind", "corrupt"}, {"worker", ws}}));
-      fault_metrics_.injected_straggle.push_back(registry.GetCounter(
-          "fault/injected", {{"kind", "straggle"}, {"worker", ws}}));
-      fault_metrics_.injected_crash.push_back(registry.GetCounter(
-          "fault/injected", {{"kind", "crash"}, {"worker", ws}}));
+      for (int kind = 0; kind < FaultMetrics::kWorkerKinds; ++kind) {
+        fault_metrics_.injected[kind].push_back(registry.GetCounter(
+            "fault/injected",
+            {{"kind", FaultMetrics::kKindNames[kind]}, {"worker", ws}}));
+      }
       fault_metrics_.retries.push_back(
           registry.GetCounter("net/retries", {{"worker", ws}}));
       fault_metrics_.retransmit_bytes.push_back(
@@ -303,13 +302,81 @@ DistributedTrainer::DistributedTrainer(
   }
 }
 
+/// What one worker's push produced. Pushes share no mutable state: worker
+/// w's codec is its own forked seed lane, so results are bit-identical at
+/// any thread count.
+struct DistributedTrainer::WorkerResult {
+  common::Status status;
+  common::SparseGradient decoded;  // Decoded pairs, in shard order.
+  // What the worker sent each server shard (index = shard). A shard it
+  // sent no message has 0 bytes.
+  struct ShardSend {
+    size_t bytes = 0;             // Message bytes on the wire.
+    double decode_seconds = 0.0;  // The server's decode, charged to it.
+    double link_seconds = 0.0;    // Modeled gather link, retries included.
+  };
+  std::vector<ShardSend> shards;
+  size_t nnz = 0;
+  double compute_seconds = 0.0;
+  double encode_seconds = 0.0;
+  double decode_seconds = 0.0;
+  // L1 of (sent - decoded) and of sent, the relative recovery error's
+  // parts. Filled only when metrics are on, and read-only either way, so
+  // bytes and losses are bit-identical with metrics on or off.
+  double recovery_error_l1 = 0.0;
+  double recovery_ref_l1 = 0.0;
+  // Fault accounting (all zero when the plan is inactive). A worker
+  // contributes only if it did not crash and every message was delivered.
+  bool crashed = false;
+  bool straggled = false;
+  bool contributes = true;
+  uint64_t injected_drops = 0;
+  uint64_t injected_corruptions = 0;
+  uint64_t retries = 0;
+  uint64_t retransmit_bytes = 0;
+  uint64_t lost = 0;
+  double retry_seconds = 0.0;  // Backoff + retransmit link time.
+};
+
+/// One batch as it moves through the stages, each filling the fields the
+/// next ones read.
+struct DistributedTrainer::Batch {
+  explicit Batch(common::KeyAccumulator* aggregate) : aggregate(aggregate) {}
+  // A batch leaves the accumulator clean: a successful one drains it, and
+  // an early return (a worker's error, a quorum failure) clears it here.
+  ~Batch() {
+    if (aggregate->touched() > 0) aggregate->Clear();
+  }
+  Batch(const Batch&) = delete;  // Pushes hold its address.
+  Batch& operator=(const Batch&) = delete;
+
+  common::KeyAccumulator* aggregate;
+  uint64_t index = 0;  // Global batch number: every fault decision's key.
+  // Slice i, ranges[i], belongs to worker ids[i]: the id keys fault
+  // decisions and picks the codec seed lane, while ranges and results
+  // stay slice-indexed. With membership off ids[i] == i.
+  std::span<const int> ids;
+  std::vector<std::pair<size_t, size_t>> ranges;
+  // Causal root of this batch (see PartitionBatch), and its context.
+  std::optional<obs::TraceSpan> span;
+  obs::SpanContext ctx;
+  std::vector<WorkerResult> results;
+  common::Status key_error;  // The first decoded key past the model.
+  double fold_seconds = 0.0;
+  int contributing = 0;  // Workers whose gradient reached the aggregate.
+  double compute_sum = 0.0;
+  double encode_sum = 0.0;
+  double decode_sum = 0.0;
+  common::SparseGradient mean_grad;
+
+  int active_workers() const { return static_cast<int>(ranges.size()); }
+};
+
 common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
   const size_t n = train_->size();
   const size_t batch_size = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(n) * config_.batch_ratio));
-  const int servers = cluster_.num_servers;
-  const uint64_t model_dim = train_->dim();
-  aggregate_.Resize(model_dim);
+  aggregate_.Resize(train_->dim());
 
   EpochStats stats;
   stats.epoch = ++epochs_run_;
@@ -323,546 +390,472 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
   obs::TraceSpan epoch_span("trainer", "epoch");
   epoch_span.Arg("epoch", static_cast<double>(stats.epoch));
 
-  common::Stopwatch watch;
-  std::vector<double> shard_gather_seconds(servers);
   // The previous batch's broadcast, overlapping this batch's workers. Every
   // return below destroys it, which joins the task before the trainer
   // state it reads (the driver codec lane) can change.
   PendingBroadcast broadcast;
   for (size_t batch_start = 0; batch_start < n; batch_start += batch_size) {
-    const size_t batch_end = std::min(n, batch_start + batch_size);
-    const size_t batch_count = batch_end - batch_start;
-
-    // Membership events fire at batch boundaries, before the batch
-    // partitions its ranges. Decisions key on the global batch counter
-    // (like fault injection), so churn replays identically across
-    // epochs and thread counts. With an inactive plan ApplyBatch is a
-    // no-op and `ids` stays the identity fleet 0..num_workers-1.
-    if (membership_active_) {
-      std::vector<MembershipEvent> events;
-      directory_.ApplyBatch(batches_run_, &events);
-      // Events add to network_seconds, after the previous broadcast.
-      if (!events.empty()) {
-        SKETCHML_RETURN_IF_ERROR(FoldBroadcast(&broadcast, &stats));
-      }
-      for (const MembershipEvent& event : events) {
-        ApplyMembershipEvent(event, &stats);
-      }
-    }
-    const std::vector<int>& ids = directory_.active();
-    const int workers = static_cast<int>(ids.size());
-    const size_t shard =
-        std::max<size_t>(1, (batch_count + workers - 1) / workers);
-
-    // Phase 1+2: each executor is an independent task — it computes its
-    // mini-gradient, splits it by server shard, encodes one message per
-    // shard, and (standing in for the owning server, phase 3a) decodes
-    // it. Tasks share no mutable state: worker w's codec is its own
-    // forked seed lane, so results are bit-identical at any thread count.
-    struct WorkerResult {
-      common::Status status;
-      common::SparseGradient decoded;   // Decoded pairs, in shard order.
-      std::vector<size_t> shard_bytes;  // Message bytes per server shard.
-      // Decode seconds attributed to each server shard (sums to
-      // decode_seconds); lets the driver publish per-server slices.
-      std::vector<double> shard_decode_seconds;
-      // Modeled seconds on each server's gather link, including every
-      // retransmit attempt and backoff wait.
-      std::vector<double> shard_link_seconds;
-      uint64_t messages = 0;
-      size_t nnz = 0;
-      double compute_seconds = 0.0;
-      double encode_seconds = 0.0;
-      double decode_seconds = 0.0;
-      // L1 distance between this worker's sent gradient and what the
-      // server decoded, plus the sent gradient's own L1 (the denominator
-      // for a relative recovery error). Only filled when metrics are on;
-      // read-only over the same values either way, so the byte stream and
-      // losses are bit-identical with metrics on or off.
-      double recovery_error_l1 = 0.0;
-      double recovery_ref_l1 = 0.0;
-      // Fault accounting (all zero / contributes=true when the plan is
-      // inactive). A worker contributes to the batch aggregate only if it
-      // did not crash and every non-empty shard message was delivered.
-      bool crashed = false;
-      bool straggled = false;
-      bool contributes = true;
-      uint64_t injected_drops = 0;
-      uint64_t injected_corruptions = 0;
-      uint64_t retries = 0;
-      uint64_t retransmit_bytes = 0;
-      uint64_t lost = 0;
-      double retry_seconds = 0.0;  // Backoff + retransmit link time.
-    };
-    const uint64_t gbatch = batches_run_;
-
-    // Causal root of this batch. Each worker chain (compute → encode →
-    // per-attempt transfer → decode) adopts this context on whatever
-    // thread executes it, so the batch reconstructs as one rooted tree
-    // even across pool threads. Sampling keys on the *global* batch
-    // counter, so the sampled set is deterministic across thread counts;
-    // an invalid context simply elides the causal spans below and never
-    // touches the measured phases or byte streams.
-    std::optional<obs::TraceSpan> batch_span;
-    if (obs::TracingEnabled() &&
-        (config_.trace_sample_every <= 1 ||
-         gbatch % static_cast<uint64_t>(config_.trace_sample_every) == 0)) {
-      batch_span.emplace("trainer", "batch");
-      batch_span->Arg("batch", static_cast<double>(gbatch));
-    }
-    const obs::SpanContext batch_ctx =
-        batch_span ? batch_span->context() : obs::SpanContext{};
-
-    const auto run_worker = [&, this](int w, size_t lo, size_t hi) {
-      WorkerResult r;
-      r.shard_bytes.assign(servers, 0);
-      r.shard_decode_seconds.assign(servers, 0.0);
-      r.shard_link_seconds.assign(servers, 0.0);
-      if (injector_.WorkerCrashed(gbatch, w)) {
-        // Crash-for-k-batches: the executor is down, computes nothing and
-        // sends nothing. It rejoins via the (fault-free) weight broadcast.
-        r.crashed = true;
-        r.contributes = false;
-        return r;
-      }
-      const double straggle = injector_.StraggleFactor(gbatch, w);
-      r.straggled = straggle > 1.0;
-      compress::GradientCodec* codec = worker_codecs_[w].get();
-      // Cross-thread hand-off: this task may run on a pool thread, so
-      // adopt the batch's context and open this worker's push span under
-      // it. Inner spans (compute below, the codec's encode/decode, the
-      // modeled transfer attempts) then chain off the push span through
-      // the thread-local context stack.
-      obs::TraceContextScope batch_scope(batch_ctx);
-      std::optional<obs::TraceSpan> push_span;
-      if (batch_ctx.valid()) {
-        push_span.emplace("trainer", "push");
-        push_span->Arg("worker", static_cast<double>(w));
-        push_span->Arg("batch", static_cast<double>(gbatch));
-      }
-      common::Stopwatch task_watch;
-      common::SparseGradient grad;
-      {
-        std::optional<obs::TraceSpan> span;
-        if (batch_ctx.valid()) {
-          span.emplace("trainer", "compute");
-          span->Arg("worker", static_cast<double>(w));
-        }
-        grad = ml::ComputeBatchGradient(*loss_, optimizer_->weights(), *train_,
-                                        lo, hi, config_.lambda);
-      }
-      r.compute_seconds = task_watch.Restart() * straggle;
-      r.nnz = grad.size();
-      const std::vector<common::SparseGradient> per_shard =
-          SplitByShard(std::move(grad));
-
-      // Recovery error: codecs keep keys exact, so walk the sorted
-      // sent/decoded lists in lockstep and accumulate |sent - got|.
-      const auto accumulate_recovery = [&r](
-                                           const common::SparseGradient& sent,
-                                           const common::SparseGradient& got) {
-        size_t j = 0;
-        for (const auto& pair : sent) {
-          while (j < got.size() && got[j].key < pair.key) ++j;
-          const double value = (j < got.size() && got[j].key == pair.key)
-                                   ? got[j].value
-                                   : 0.0;
-          r.recovery_error_l1 += std::abs(value - pair.value);
-          r.recovery_ref_l1 += std::abs(pair.value);
-        }
-      };
-
-      for (int s = 0; s < servers; ++s) {
-        if (per_shard[s].empty()) continue;
-        task_watch.Restart();
-        compress::EncodedGradient msg;
-        r.status = codec->Encode(per_shard[s], &msg);
-        if (!r.status.ok()) return r;
-        r.encode_seconds += task_watch.Restart() * straggle;
-        ++r.messages;
-
-        // What crosses the wire: the message itself, or with an active
-        // plan the message inside a CRC frame, so the server can tell wire
-        // damage from a codec fault. Every attempt charges one transfer to
-        // this shard's gather link; each retry first waits out an
-        // exponential backoff. Drop/corrupt decisions are pure functions
-        // of (seed, batch, worker, server, attempt), so the sequence is
-        // replayable and independent of thread interleaving; an inactive
-        // plan's draws never fire, so it sends exactly one attempt.
-        compress::EncodedGradient framed;
-        if (faults_active_) common::FrameMessage(msg.bytes, &framed.bytes);
-        const compress::EncodedGradient& sent = faults_active_ ? framed : msg;
-        const double transfer = cluster_.network.TransferSeconds(sent.size());
-        r.shard_bytes[s] = sent.size();
-        bool delivered = false;
-        const int attempts = injector_.plan().max_retries + 1;
-        for (int attempt = 0; attempt < attempts; ++attempt) {
-          const double backoff =
-              attempt > 0 ? injector_.BackoffSeconds(attempt) : 0.0;
-          if (attempt > 0) {
-            ++r.retries;
-            r.retransmit_bytes += sent.size();
-            r.retry_seconds += backoff + transfer;
-          }
-          // Two adds, transfer first: one `+= transfer + backoff` would
-          // round differently and move the modeled seconds.
-          r.shard_link_seconds[s] += transfer;
-          r.shard_link_seconds[s] += backoff;
-          if (batch_ctx.valid()) {
-            // Modeled wire time for this delivery attempt (retries also
-            // include the backoff wait that preceded them), one span per
-            // attempt so retry amplification is visible in the tree.
-            obs::EmitSpan("network", "transfer", obs::NowNs(),
-                          static_cast<uint64_t>((transfer + backoff) * 1e9),
-                          {{"attempt", static_cast<double>(attempt)},
-                           {"bytes", static_cast<double>(sent.size())}});
-          }
-          if (injector_.ShouldDrop(gbatch, w, s, attempt)) {
-            ++r.injected_drops;
-            continue;  // Vanished in flight; the sender times out, resends.
-          }
-          const compress::EncodedGradient* received = &sent;
-          compress::EncodedGradient damaged;
-          if (injector_.ShouldCorrupt(gbatch, w, s, attempt)) {
-            ++r.injected_corruptions;
-            damaged = sent;
-            injector_.Corrupt(&damaged.bytes, gbatch, w, s, attempt);
-            received = &damaged;
-          }
-          // Phase 3a, server side: check the frame, then decode (serial per
-          // server, but servers run in parallel, so charge the time /
-          // servers). A damaged frame is NACKed and resent; its check time
-          // is charged to decode like any delivered message.
-          task_watch.Restart();
-          common::Status frame_check;
-          compress::EncodedGradient payload;
-          if (faults_active_) {
-            frame_check = common::UnframeMessage(received->bytes,
-                                                 &payload.bytes);
-            received = &payload;
-          }
-          common::SparseGradient decoded;
-          if (frame_check.ok()) r.status = codec->Decode(*received, &decoded);
-          const double decode_elapsed = task_watch.Restart() / servers;
-          r.decode_seconds += decode_elapsed;
-          r.shard_decode_seconds[s] += decode_elapsed;
-          if (!frame_check.ok()) continue;
-          // Intact bytes the codec cannot decode are a codec fault, not
-          // wire damage: resending them cannot help, so the batch fails.
-          if (!r.status.ok()) return r;
-          delivered = true;
-          if (metrics_.enabled) accumulate_recovery(per_shard[s], decoded);
-          if (r.decoded.empty()) {
-            r.decoded = std::move(decoded);
-          } else {
-            r.decoded.insert(r.decoded.end(), decoded.begin(), decoded.end());
-          }
-          break;
-        }
-        if (!delivered) {
-          // Retry budget exhausted: the sender's final timeout closes the
-          // exchange and the driver drops this worker from the batch.
-          const double timeout = injector_.BackoffSeconds(attempts);
-          r.shard_link_seconds[s] += timeout;
-          r.retry_seconds += timeout;
-          ++r.lost;
-          r.contributes = false;
-        }
-      }
-      return r;
-    };
-
-    // Slice i of the batch belongs to worker ids[i]: run_worker takes
-    // the *worker id* (it keys fault decisions and picks the codec seed
-    // lane), while ranges/results stay slice-indexed. With membership
-    // off ids[i] == i and this is the previous fixed-fleet partition.
-    std::vector<std::pair<size_t, size_t>> ranges;
-    for (int i = 0; i < workers; ++i) {
-      const size_t lo = batch_start + static_cast<size_t>(i) * shard;
-      if (lo >= batch_end) break;
-      ranges.emplace_back(lo, std::min(batch_end, lo + shard));
-    }
-    const int active_workers = static_cast<int>(ranges.size());
-    if (active_workers == 0) continue;
-
-    // Phase 3b, first half: the driver adds each contributing worker's
-    // decoded pairs into the dense accumulator as that worker's result
-    // arrives, in fixed worker order, while later workers still run. Each
-    // key's float sum is then independent of thread count and of the
-    // order pairs arrive in within a worker (ring-sharded workers need no
-    // merge). A failed worker is skipped: its status fails the batch
-    // below. The first key past the model stops the fold; it fails the
-    // batch only after every worker status and the quorum check, and the
-    // guard leaves the accumulator clean on every failure.
-    std::vector<WorkerResult> results(active_workers);
-    ClearOnExit clear_aggregate(&aggregate_);
-    common::Status key_error;
-    double fold_seconds = 0.0;
-    const auto fold = [&](int i) {
-      const WorkerResult& r = results[i];
-      if (!r.status.ok() || !r.contributes || !key_error.ok()) return;
-      watch.Restart();
-      for (const auto& pair : r.decoded) {
-        // Nothing between Decode and Apply checks the index again: a key
-        // past the model would write outside the accumulator and weights.
-        if (pair.key >= model_dim) {
-          key_error = common::Status::CorruptedData(
-              "worker " + std::to_string(ids[i]) + " decoded key " +
-              std::to_string(pair.key) + " outside model dim " +
-              std::to_string(model_dim) + " at batch " +
-              std::to_string(gbatch));
-          break;
-        }
-        aggregate_.Add(pair.key, pair.value);
-      }
-      fold_seconds += watch.Restart();
-    };
-    if (pool_ != nullptr && active_workers > 1) {
-      std::vector<common::TaskFuture<WorkerResult>> futures(active_workers);
-      for (int i = 0; i < active_workers; ++i) {
-        futures[i] = pool_->Submit([&run_worker, &ranges, &ids, i] {
-          return run_worker(ids[i], ranges[i].first, ranges[i].second);
-        });
-      }
-      for (int i = 0; i < active_workers; ++i) {
-        results[i] = futures[i].Get();
-        fold(i);
-      }
-    } else {
-      for (int i = 0; i < active_workers; ++i) {
-        results[i] = run_worker(ids[i], ranges[i].first, ranges[i].second);
-        fold(i);
-      }
-    }
-    // Join the previous batch's broadcast before this batch's results
-    // reach the stats: its modeled seconds precede this gather's, and its
-    // error fails the epoch with these results unapplied.
-    SKETCHML_RETURN_IF_ERROR(FoldBroadcast(&broadcast, &stats));
-
-    // Reduce in fixed worker order so every accumulated stat is
-    // independent of execution interleaving. Per-entity counters are
-    // published here (not from worker threads) with the same scale
-    // factors the aggregate stats use, so labeled slices reconcile with
-    // EpochStats exactly (see EntityMetrics in trainer.h).
-    double compute_sum = 0.0, encode_sum = 0.0, decode_sum = 0.0;
-    double batch_retry_seconds = 0.0;
-    uint64_t batch_bytes_up = 0;          // This batch's gather traffic.
-    uint64_t batch_retransmit_bytes = 0;  // Retry amplification, this batch.
-    uint64_t batch_retries = 0;
-    int contributing = 0;
-    std::fill(shard_gather_seconds.begin(), shard_gather_seconds.end(), 0.0);
-    for (int i = 0; i < active_workers; ++i) {
-      WorkerResult& r = results[i];
-      // Per-worker metric slots are indexed by the worker's id in the
-      // membership universe, not its slice position in this batch.
-      const int w = ids[i];
-      SKETCHML_RETURN_IF_ERROR(r.status);
-      if (r.contributes) ++contributing;
-      total_nnz += static_cast<double>(r.nnz);
-      compute_sum += r.compute_seconds;
-      encode_sum += r.encode_seconds;
-      decode_sum += r.decode_seconds;
-      stats.messages += r.messages;
-      for (int s = 0; s < servers; ++s) {
-        if (r.shard_bytes[s] == 0) continue;
-        stats.bytes_up += r.shard_bytes[s];
-        batch_bytes_up += r.shard_bytes[s];
-        shard_gather_seconds[s] += r.shard_link_seconds[s];
-      }
-      stats.injected_faults += r.injected_drops + r.injected_corruptions +
-                               (r.straggled ? 1 : 0) + (r.crashed ? 1 : 0);
-      stats.retries += r.retries;
-      stats.retransmit_bytes += r.retransmit_bytes;
-      batch_retries += r.retries;
-      batch_retransmit_bytes += r.retransmit_bytes;
-      stats.lost_messages += r.lost;
-      batch_retry_seconds += r.retry_seconds;
-      if (fault_metrics_.enabled) {
-        if (r.injected_drops > 0) {
-          fault_metrics_.injected_drop[w].Add(
-              static_cast<double>(r.injected_drops));
-        }
-        if (r.injected_corruptions > 0) {
-          fault_metrics_.injected_corrupt[w].Add(
-              static_cast<double>(r.injected_corruptions));
-        }
-        if (r.straggled) fault_metrics_.injected_straggle[w].Increment();
-        if (r.crashed) fault_metrics_.injected_crash[w].Increment();
-        if (r.retries > 0) {
-          fault_metrics_.retries[w].Add(static_cast<double>(r.retries));
-          fault_metrics_.retransmit_bytes[w].Add(
-              static_cast<double>(r.retransmit_bytes));
-        }
-        if (r.lost > 0) {
-          fault_metrics_.lost_messages.Add(static_cast<double>(r.lost));
-        }
-      }
-      if (metrics_.enabled) {
-        metrics_.worker_compute[w].Add(r.compute_seconds / active_workers *
-                                       cluster_.compute_scale);
-        metrics_.worker_encode[w].Add(r.encode_seconds / active_workers *
-                                      cluster_.codec_scale);
-        // Per-batch latency distributions, recorded from this driver
-        // thread only (single writer => snapshots identical across
-        // --threads). Push is the worker's total modeled link time.
-        sketch_metrics_.worker_compute[w].Record(
-            r.compute_seconds / active_workers * cluster_.compute_scale);
-        sketch_metrics_.worker_encode[w].Record(
-            r.encode_seconds / active_workers * cluster_.codec_scale);
-        double push_seconds = 0.0;
-        for (int s = 0; s < servers; ++s) {
-          if (r.shard_bytes[s] > 0) push_seconds += r.shard_link_seconds[s];
-        }
-        sketch_metrics_.worker_push[w].Record(push_seconds);
-        metrics_.worker_recovery_err[w].Add(r.recovery_error_l1);
-        metrics_.worker_recovery_ref[w].Add(r.recovery_ref_l1);
-        for (int s = 0; s < servers; ++s) {
-          if (r.shard_decode_seconds[s] > 0.0) {
-            metrics_.server_decode[s].Add(r.shard_decode_seconds[s] *
-                                          cluster_.codec_scale);
-          }
-          if (r.shard_bytes[s] > 0) {
-            metrics_.server_bytes[s].Add(
-                static_cast<double>(r.shard_bytes[s]));
-          }
-        }
-      }
-    }
-    // Server-shard stalls: a stalled server delays the gather in flight
-    // on its link (no effect on a link with no traffic this batch).
-    for (int s = 0; s < servers; ++s) {
-      if (shard_gather_seconds[s] > 0.0 && injector_.ServerStalled(gbatch, s)) {
-        shard_gather_seconds[s] += cluster_.faults.stall_seconds;
-        ++stats.injected_faults;
-        if (fault_metrics_.enabled) {
-          fault_metrics_.injected_stall[s].Increment();
-        }
-      }
-    }
-    // Recovery decision: enough whole gradients survived to apply the
-    // batch? Below quorum the epoch fails with a typed status; a
-    // partial-but-quorate batch is applied degraded (the aggregate is
-    // rescaled to the mean of the survivors below). Quorum counts only the
-    // workers this batch sent work to: a short batch leaves some idle.
-    const int quorum = std::min(cluster_.faults.min_quorum, active_workers);
-    if (contributing < quorum) {
-      return common::Status::Unavailable(
-          "quorum failure at batch " + std::to_string(gbatch) + ": " +
-          std::to_string(contributing) + " of " +
-          std::to_string(active_workers) + " workers delivered (min_quorum=" +
-          std::to_string(cluster_.faults.min_quorum) + ")");
-    }
-    if (contributing < active_workers) ++stats.degraded_batches;
-    if (fault_metrics_.enabled) {
-      fault_metrics_.quorum.Set(static_cast<double>(contributing));
-    }
-    if (obs::TracingEnabled() && batch_retry_seconds > 0.0) {
-      // Modeled recovery time (retransmits + backoff), same convention
-      // as the "gather" span below. The batch span is still open on
-      // this thread, so the analyzer can charge retry amplification to
-      // its batch.
-      obs::EmitSpan("network", "retry", obs::NowNs(),
-                    static_cast<uint64_t>(batch_retry_seconds * 1e9),
-                    {{"attempt", static_cast<double>(batch_retries)},
-                     {"bytes", static_cast<double>(batch_retransmit_bytes)}});
-    }
-
-    // Gather happens in parallel across server links: the slowest shard
-    // bounds the phase.
-    const double gather_seconds = *std::max_element(
-        shard_gather_seconds.begin(), shard_gather_seconds.end());
-    stats.network_seconds += gather_seconds;
-    if (metrics_.enabled) {
-      for (int s = 0; s < servers; ++s) {
-        if (shard_gather_seconds[s] > 0.0) {
-          metrics_.server_gather[s].Add(shard_gather_seconds[s]);
-        }
-      }
-      if (gather_seconds > 0.0) metrics_.driver_network.Add(gather_seconds);
-    }
-    if (obs::TracingEnabled() && gather_seconds > 0.0) {
-      // Modeled, not measured: the span's duration is what NetworkModel
-      // says the gather would have taken on the simulated links.
-      obs::EmitSpan("network", "gather", obs::NowNs(),
-                    static_cast<uint64_t>(gather_seconds * 1e9),
-                    {{"bytes", static_cast<double>(batch_bytes_up)}});
-    }
-
-    SKETCHML_RETURN_IF_ERROR(key_error);
-
-    // Phase 3b, second half: average and apply the optimizer step. The
-    // drain yields the folded aggregate in ascending key order.
-    watch.Restart();
-    common::SparseGradient mean_grad;
-    {
-      obs::TraceSpan aggregate_span("trainer", "aggregate");
-      // K-of-W degradation: a degraded batch averages over the surviving
-      // workers only (quorum above guarantees contributing >= 1). Fault
-      // free, contributing == active_workers and this is the usual mean.
-      const double inv_workers = 1.0 / static_cast<double>(contributing);
-      mean_grad.reserve(aggregate_.touched());
-      // A decoded inf/NaN would poison the weights (Adam turns inf into
-      // NaN); the drain still runs to the end so the accumulator is clean.
-      std::optional<uint64_t> non_finite_key;
-      aggregate_.Drain([&](uint64_t key, double sum) {
-        if (!std::isfinite(sum) && !non_finite_key) non_finite_key = key;
-        mean_grad.push_back({key, sum * inv_workers});
-      });
-      if (non_finite_key) {
-        return common::Status::CorruptedData(
-            "aggregate for key " + std::to_string(*non_finite_key) +
-            " is not finite at batch " + std::to_string(gbatch));
-      }
-    }
-    {
-      obs::TraceSpan update_span("trainer", "update");
-      optimizer_->Apply(mean_grad);
-    }
-    const double update_elapsed =
-        (fold_seconds + watch.Restart()) * cluster_.codec_scale;
-    stats.update_seconds += update_elapsed;
-    if (metrics_.enabled && update_elapsed > 0.0) {
-      metrics_.driver_update.Add(update_elapsed);
-    }
-    // Feed the aggregate into the owning shards' mergeable state before
-    // the broadcast below consumes (moves) mean_grad. Driver-side and
-    // serial, so the sketches are a pure function of the update stream.
-    if (membership_active_) UpdateShardState(mean_grad);
-
-    // Workers compute in parallel: charge the mean per worker.
-    stats.compute_seconds +=
-        compute_sum / active_workers * cluster_.compute_scale;
-    ++stats.num_batches;
-    // Phase 4: broadcast the applied update while the next batch's workers
-    // run; its fold charges the batch's encode/decode seconds.
-    broadcast = LaunchBroadcast(std::move(mean_grad), active_workers,
-                                encode_sum, decode_sum);
-    // Global batch index: the injector keys every decision on it, so the
-    // fault sequence is a function of (plan seed, lifetime batch number)
-    // and replays identically across epochs and thread counts.
+    Batch batch(&aggregate_);
+    SKETCHML_RETURN_IF_ERROR(PartitionBatch(
+        batch_start, std::min(n, batch_start + batch_size), &broadcast,
+        &stats, &batch));
+    if (batch.ranges.empty()) continue;
+    SKETCHML_RETURN_IF_ERROR(GatherBatch(&batch, &broadcast, &stats));
+    SKETCHML_RETURN_IF_ERROR(ReduceBatch(&batch, &stats, &total_nnz));
+    SKETCHML_RETURN_IF_ERROR(ApplyUpdate(&batch, &stats));
+    // The broadcast overlaps the next batch's pushes. The batch span
+    // closes after the task has captured its context.
+    broadcast = LaunchBroadcast(std::move(batch.mean_grad),
+                                batch.active_workers(), batch.encode_sum,
+                                batch.decode_sum);
+    // Every fault decision keys on this lifetime batch number, so faults
+    // replay identically across epochs and thread counts.
     ++batches_run_;
   }
+  SKETCHML_RETURN_IF_ERROR(FinishEpoch(total_nnz, &broadcast, &stats));
+  return stats;
+}
 
-  stats.avg_gradient_nnz =
-      stats.messages > 0 ? total_nnz / static_cast<double>(stats.messages)
-                         : 0.0;
-  stats.train_loss = ml::ComputeMeanLoss(*loss_, optimizer_->weights(),
-                                         *train_, config_.lambda, pool_.get());
+common::Status DistributedTrainer::PartitionBatch(size_t batch_start,
+                                                  size_t batch_end,
+                                                  PendingBroadcast* broadcast,
+                                                  EpochStats* stats,
+                                                  Batch* batch) {
+  // Membership events key on the global batch counter, like faults, so
+  // churn replays identically across epochs and thread counts. With an
+  // inactive plan the fleet stays 0..num_workers-1.
+  if (membership_active_) {
+    std::vector<MembershipEvent> events;
+    directory_.ApplyBatch(batches_run_, &events);
+    // Events add to network_seconds, after the previous broadcast.
+    if (!events.empty()) {
+      SKETCHML_RETURN_IF_ERROR(FoldBroadcast(broadcast, stats));
+    }
+    for (const MembershipEvent& event : events) {
+      ApplyMembershipEvent(event, stats);
+    }
+  }
+  batch->index = batches_run_;
+  batch->ids = directory_.active();
+  const int workers = static_cast<int>(batch->ids.size());
+  const size_t shard = std::max<size_t>(
+      1, (batch_end - batch_start + workers - 1) / workers);
+  for (int i = 0; i < workers; ++i) {
+    const size_t lo = batch_start + static_cast<size_t>(i) * shard;
+    if (lo >= batch_end) break;
+    batch->ranges.emplace_back(lo, std::min(batch_end, lo + shard));
+  }
+
+  // Causal root of this batch: every push adopts its context on whatever
+  // thread runs it, so the batch is one rooted tree. Sampling keys on the
+  // global batch counter, so the sampled set is the same at any thread
+  // count; an unsampled batch's invalid context elides the causal spans.
+  if (obs::TracingEnabled() &&
+      batch->index % static_cast<uint64_t>(
+                         std::max(1, config_.trace_sample_every)) == 0) {
+    batch->span.emplace("trainer", "batch");
+    batch->span->Arg("batch", static_cast<double>(batch->index));
+  }
+  batch->ctx = batch->span ? batch->span->context() : obs::SpanContext{};
+  return common::Status::Ok();
+}
+
+DistributedTrainer::WorkerResult DistributedTrainer::PushWorker(
+    const Batch& batch, int slice) {
+  const int servers = cluster_.num_servers;
+  const int w = batch.ids[slice];
+  WorkerResult r;
+  r.shards.resize(servers);
+  if (injector_.WorkerCrashed(batch.index, w)) {
+    // Crash-for-k-batches: the executor is down, computes nothing and
+    // sends nothing. It rejoins via the (fault-free) weight broadcast.
+    r.crashed = true;
+    r.contributes = false;
+    return r;
+  }
+  const double straggle = injector_.StraggleFactor(batch.index, w);
+  r.straggled = straggle > 1.0;
+  compress::GradientCodec* codec = worker_codecs_[w].get();
+  // This task may run on a pool thread: adopt the batch's context, so
+  // the push span and every span inside it (compute, encode/decode, the
+  // modeled transfers) chain under the batch.
+  obs::TraceContextScope batch_scope(batch.ctx);
+  std::optional<obs::TraceSpan> push_span;
+  if (batch.ctx.valid()) {
+    push_span.emplace("trainer", "push");
+    push_span->Arg("worker", static_cast<double>(w));
+    push_span->Arg("batch", static_cast<double>(batch.index));
+  }
+  common::Stopwatch task_watch;
+  common::SparseGradient grad;
+  {
+    std::optional<obs::TraceSpan> span;
+    if (batch.ctx.valid()) {
+      span.emplace("trainer", "compute");
+      span->Arg("worker", static_cast<double>(w));
+    }
+    const auto [lo, hi] = batch.ranges[slice];
+    grad = ml::ComputeBatchGradient(*loss_, optimizer_->weights(), *train_,
+                                    lo, hi, config_.lambda);
+  }
+  r.compute_seconds = task_watch.Restart() * straggle;
+  r.nnz = grad.size();
+  const std::vector<common::SparseGradient> per_shard =
+      SplitByShard(std::move(grad));
+
+  for (int s = 0; s < servers; ++s) {
+    if (per_shard[s].empty()) continue;
+    task_watch.Restart();
+    compress::EncodedGradient msg;
+    r.status = codec->Encode(per_shard[s], &msg);
+    if (!r.status.ok()) return r;
+    r.encode_seconds += task_watch.Restart() * straggle;
+
+    // What crosses the wire: the message itself, or with an active
+    // plan the message inside a CRC frame, so the server can tell wire
+    // damage from a codec fault. Every attempt charges one transfer to
+    // this shard's gather link; each retry first waits out an
+    // exponential backoff. Drop/corrupt decisions are pure functions
+    // of (seed, batch, worker, server, attempt), so the sequence is
+    // replayable and independent of thread interleaving; an inactive
+    // plan's draws never fire, so it sends exactly one attempt.
+    compress::EncodedGradient framed;
+    if (faults_active_) common::FrameMessage(msg.bytes, &framed.bytes);
+    const compress::EncodedGradient& sent = faults_active_ ? framed : msg;
+    const double transfer = cluster_.network.TransferSeconds(sent.size());
+    r.shards[s].bytes = sent.size();
+    bool delivered = false;
+    const int attempts = injector_.plan().max_retries + 1;
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+      const double backoff =
+          attempt > 0 ? injector_.BackoffSeconds(attempt) : 0.0;
+      if (attempt > 0) {
+        ++r.retries;
+        r.retransmit_bytes += sent.size();
+        r.retry_seconds += backoff + transfer;
+      }
+      // Two adds, transfer first: one `+= transfer + backoff` would
+      // round differently and move the modeled seconds.
+      r.shards[s].link_seconds += transfer;
+      r.shards[s].link_seconds += backoff;
+      if (batch.ctx.valid()) {
+        // Modeled wire time for this delivery attempt (retries also
+        // include the backoff wait that preceded them), one span per
+        // attempt so retry amplification is visible in the tree.
+        obs::EmitSpan("network", "transfer", obs::NowNs(),
+                      static_cast<uint64_t>((transfer + backoff) * 1e9),
+                      {{"attempt", static_cast<double>(attempt)},
+                       {"bytes", static_cast<double>(sent.size())}});
+      }
+      if (injector_.ShouldDrop(batch.index, w, s, attempt)) {
+        ++r.injected_drops;
+        continue;  // Vanished in flight; the sender times out, resends.
+      }
+      const compress::EncodedGradient* received = &sent;
+      compress::EncodedGradient damaged;
+      if (injector_.ShouldCorrupt(batch.index, w, s, attempt)) {
+        ++r.injected_corruptions;
+        damaged = sent;
+        injector_.Corrupt(&damaged.bytes, batch.index, w, s, attempt);
+        received = &damaged;
+      }
+      // Server side: check the frame, then decode; servers run in
+      // parallel, so charge the time / servers. A damaged frame is NACKed
+      // and resent, its check time charged to decode.
+      task_watch.Restart();
+      common::Status frame_check;
+      compress::EncodedGradient payload;
+      if (faults_active_) {
+        frame_check = common::UnframeMessage(received->bytes, &payload.bytes);
+        received = &payload;
+      }
+      common::SparseGradient decoded;
+      if (frame_check.ok()) r.status = codec->Decode(*received, &decoded);
+      const double decode_elapsed = task_watch.Restart() / servers;
+      r.decode_seconds += decode_elapsed;
+      r.shards[s].decode_seconds += decode_elapsed;
+      if (!frame_check.ok()) continue;
+      // Intact bytes the codec cannot decode are a codec fault, not
+      // wire damage: resending them cannot help, so the batch fails.
+      if (!r.status.ok()) return r;
+      delivered = true;
+      if (metrics_.enabled) {
+        AddRecoveryError(per_shard[s], decoded, &r.recovery_error_l1,
+                         &r.recovery_ref_l1);
+      }
+      if (r.decoded.empty()) {
+        r.decoded = std::move(decoded);
+      } else {
+        r.decoded.insert(r.decoded.end(), decoded.begin(), decoded.end());
+      }
+      break;
+    }
+    if (!delivered) {
+      // Retry budget exhausted: the sender's final timeout closes the
+      // exchange and the driver drops this worker from the batch.
+      const double timeout = injector_.BackoffSeconds(attempts);
+      r.shards[s].link_seconds += timeout;
+      r.retry_seconds += timeout;
+      ++r.lost;
+      r.contributes = false;
+    }
+  }
+  return r;
+}
+
+common::Status DistributedTrainer::GatherBatch(Batch* batch,
+                                               PendingBroadcast* broadcast,
+                                               EpochStats* stats) {
+  // Every push is a task: a pool task when there is a pool and more than
+  // one worker, else one that runs at its join. Worker i is joined and
+  // folded before worker i + 1, so the fold order, the error precedence
+  // and the pool task count are the same at any thread count.
+  const int active_workers = batch->active_workers();
+  batch->results.resize(active_workers);
+  std::vector<common::TaskFuture<WorkerResult>> pushes(active_workers);
+  for (int i = 0; i < active_workers; ++i) {
+    auto push = [this, batch, i] { return PushWorker(*batch, i); };
+    pushes[i] = pool_ != nullptr && active_workers > 1
+                    ? pool_->Submit(std::move(push))
+                    : common::Deferred(std::move(push));
+  }
+
+  // Fold each contributing worker's decoded pairs into the accumulator
+  // as it arrives, in worker order, so each key's float sum is the same
+  // at any thread count. A failed worker is skipped: ReduceBatch fails
+  // the batch on its status. The first key past the model stops the
+  // fold; it fails the batch after every status and the quorum check.
+  const uint64_t model_dim = train_->dim();
+  common::Stopwatch watch;
+  for (int i = 0; i < active_workers; ++i) {
+    batch->results[i] = pushes[i].Get();
+    const WorkerResult& r = batch->results[i];
+    if (!r.status.ok() || !r.contributes || !batch->key_error.ok()) continue;
+    watch.Restart();
+    for (const auto& pair : r.decoded) {
+      // Nothing between Decode and Apply checks the index again: a key
+      // past the model would write outside the accumulator and weights.
+      if (pair.key >= model_dim) {
+        batch->key_error = common::Status::CorruptedData(
+            "worker " + std::to_string(batch->ids[i]) + " decoded key " +
+            std::to_string(pair.key) + " outside model dim " +
+            std::to_string(model_dim) + " at batch " +
+            std::to_string(batch->index));
+        break;
+      }
+      aggregate_.Add(pair.key, pair.value);
+    }
+    batch->fold_seconds += watch.Restart();
+  }
+  // The previous broadcast's modeled seconds precede this gather's, and
+  // its error fails the epoch with these results unapplied.
+  return FoldBroadcast(broadcast, stats);
+}
+
+common::Status DistributedTrainer::ReduceBatch(Batch* batch,
+                                               EpochStats* stats,
+                                               double* total_nnz) {
+  // Per-entity counters are published here, on the driver, with the
+  // scale factors the stats use, so labeled slices reconcile with
+  // EpochStats exactly (see EntityMetrics in trainer.h).
+  const int servers = cluster_.num_servers;
+  const int active_workers = batch->active_workers();
+  double batch_retry_seconds = 0.0;
+  uint64_t batch_bytes_up = 0;          // This batch's gather traffic.
+  uint64_t batch_retransmit_bytes = 0;  // Retry amplification, this batch.
+  uint64_t batch_retries = 0;
+  std::vector<double> shard_gather_seconds(servers, 0.0);
+  for (int i = 0; i < active_workers; ++i) {
+    const WorkerResult& r = batch->results[i];
+    const int w = batch->ids[i];  // Metric slots are per worker id.
+    SKETCHML_RETURN_IF_ERROR(r.status);
+    if (r.contributes) ++batch->contributing;
+    *total_nnz += static_cast<double>(r.nnz);
+    batch->compute_sum += r.compute_seconds;
+    batch->encode_sum += r.encode_seconds;
+    batch->decode_sum += r.decode_seconds;
+    double push_seconds = 0.0;  // The worker's total modeled link time.
+    for (int s = 0; s < servers; ++s) {
+      if (r.shards[s].bytes == 0) continue;
+      ++stats->messages;
+      stats->bytes_up += r.shards[s].bytes;
+      batch_bytes_up += r.shards[s].bytes;
+      shard_gather_seconds[s] += r.shards[s].link_seconds;
+      push_seconds += r.shards[s].link_seconds;
+    }
+    stats->injected_faults += r.injected_drops + r.injected_corruptions +
+                              (r.straggled ? 1 : 0) + (r.crashed ? 1 : 0);
+    stats->retries += r.retries;
+    stats->retransmit_bytes += r.retransmit_bytes;
+    batch_retries += r.retries;
+    batch_retransmit_bytes += r.retransmit_bytes;
+    stats->lost_messages += r.lost;
+    batch_retry_seconds += r.retry_seconds;
+    if (fault_metrics_.enabled) {
+      // Only what happened: a count of 0 adds nothing.
+      const auto add = [](const obs::Counter& counter, uint64_t count) {
+        if (count > 0) counter.Add(static_cast<double>(count));
+      };
+      const uint64_t injected[FaultMetrics::kWorkerKinds] = {
+          r.injected_drops, r.injected_corruptions, r.straggled, r.crashed};
+      for (int kind = 0; kind < FaultMetrics::kWorkerKinds; ++kind) {
+        add(fault_metrics_.injected[kind][w], injected[kind]);
+      }
+      add(fault_metrics_.retries[w], r.retries);
+      add(fault_metrics_.retransmit_bytes[w], r.retransmit_bytes);
+      add(fault_metrics_.lost_messages, r.lost);
+    }
+    if (metrics_.enabled) {
+      const double compute =
+          r.compute_seconds / active_workers * cluster_.compute_scale;
+      const double encode =
+          r.encode_seconds / active_workers * cluster_.codec_scale;
+      metrics_.worker_compute[w].Add(compute);
+      metrics_.worker_encode[w].Add(encode);
+      // Per-batch latency distributions, recorded from this driver
+      // thread only (single writer => snapshots identical across
+      // --threads).
+      sketch_metrics_.worker_compute[w].Record(compute);
+      sketch_metrics_.worker_encode[w].Record(encode);
+      sketch_metrics_.worker_push[w].Record(push_seconds);
+      metrics_.worker_recovery_err[w].Add(r.recovery_error_l1);
+      metrics_.worker_recovery_ref[w].Add(r.recovery_ref_l1);
+      for (int s = 0; s < servers; ++s) {
+        if (r.shards[s].decode_seconds > 0.0) {
+          metrics_.server_decode[s].Add(r.shards[s].decode_seconds *
+                                        cluster_.codec_scale);
+        }
+        if (r.shards[s].bytes > 0) {
+          metrics_.server_bytes[s].Add(static_cast<double>(r.shards[s].bytes));
+        }
+      }
+    }
+  }
+  // Server-shard stalls: a stalled server delays the gather in flight
+  // on its link (no effect on a link with no traffic this batch).
+  for (int s = 0; s < servers; ++s) {
+    if (shard_gather_seconds[s] > 0.0 &&
+        injector_.ServerStalled(batch->index, s)) {
+      shard_gather_seconds[s] += cluster_.faults.stall_seconds;
+      ++stats->injected_faults;
+      if (fault_metrics_.enabled) {
+        fault_metrics_.injected_stall[s].Increment();
+      }
+    }
+  }
+  // Below quorum the epoch fails with a typed status; a quorate batch
+  // with losses applies the survivors' mean (ApplyUpdate). Quorum counts
+  // only the workers this batch sent work to.
+  const int contributing = batch->contributing;
+  const int quorum = std::min(cluster_.faults.min_quorum, active_workers);
+  if (contributing < quorum) {
+    return common::Status::Unavailable(
+        "quorum failure at batch " + std::to_string(batch->index) + ": " +
+        std::to_string(contributing) + " of " +
+        std::to_string(active_workers) + " workers delivered (min_quorum=" +
+        std::to_string(cluster_.faults.min_quorum) + ")");
+  }
+  if (contributing < active_workers) ++stats->degraded_batches;
+  if (fault_metrics_.enabled) {
+    fault_metrics_.quorum.Set(static_cast<double>(contributing));
+  }
+  if (obs::TracingEnabled() && batch_retry_seconds > 0.0) {
+    // Modeled retransmit + backoff time, under the still-open batch span
+    // so the analyzer charges retry amplification to its batch.
+    obs::EmitSpan("network", "retry", obs::NowNs(),
+                  static_cast<uint64_t>(batch_retry_seconds * 1e9),
+                  {{"attempt", static_cast<double>(batch_retries)},
+                   {"bytes", static_cast<double>(batch_retransmit_bytes)}});
+  }
+
+  // Gather happens in parallel across server links: the slowest shard
+  // bounds the phase.
+  const double gather_seconds = *std::max_element(
+      shard_gather_seconds.begin(), shard_gather_seconds.end());
+  stats->network_seconds += gather_seconds;
+  if (metrics_.enabled) {
+    for (int s = 0; s < servers; ++s) {
+      if (shard_gather_seconds[s] > 0.0) {
+        metrics_.server_gather[s].Add(shard_gather_seconds[s]);
+      }
+    }
+    if (gather_seconds > 0.0) metrics_.driver_network.Add(gather_seconds);
+  }
+  if (obs::TracingEnabled() && gather_seconds > 0.0) {
+    // Modeled, not measured: the span's duration is what NetworkModel
+    // says the gather would have taken on the simulated links.
+    obs::EmitSpan("network", "gather", obs::NowNs(),
+                  static_cast<uint64_t>(gather_seconds * 1e9),
+                  {{"bytes", static_cast<double>(batch_bytes_up)}});
+  }
+  return batch->key_error;
+}
+
+common::Status DistributedTrainer::ApplyUpdate(Batch* batch,
+                                               EpochStats* stats) {
+  // The drain yields the folded aggregate in ascending key order.
+  common::Stopwatch watch;
+  common::SparseGradient& mean_grad = batch->mean_grad;
+  {
+    obs::TraceSpan aggregate_span("trainer", "aggregate");
+    // A degraded batch averages over its surviving workers only (the
+    // quorum check guarantees at least one).
+    const double inv_workers = 1.0 / static_cast<double>(batch->contributing);
+    mean_grad.reserve(aggregate_.touched());
+    // A decoded inf/NaN would poison the weights (Adam turns inf into
+    // NaN); the drain still runs to the end so the accumulator is clean.
+    std::optional<uint64_t> non_finite_key;
+    aggregate_.Drain([&](uint64_t key, double sum) {
+      if (!std::isfinite(sum) && !non_finite_key) non_finite_key = key;
+      mean_grad.push_back({key, sum * inv_workers});
+    });
+    if (non_finite_key) {
+      return common::Status::CorruptedData(
+          "aggregate for key " + std::to_string(*non_finite_key) +
+          " is not finite at batch " + std::to_string(batch->index));
+    }
+  }
+  {
+    obs::TraceSpan update_span("trainer", "update");
+    optimizer_->Apply(mean_grad);
+  }
+  const double update_elapsed =
+      (batch->fold_seconds + watch.Restart()) * cluster_.codec_scale;
+  stats->update_seconds += update_elapsed;
+  if (metrics_.enabled && update_elapsed > 0.0) {
+    metrics_.driver_update.Add(update_elapsed);
+  }
+  // Feed the owning shards' mergeable state before the broadcast moves
+  // mean_grad: serial, so the sketches are a function of the updates.
+  if (membership_active_) UpdateShardState(mean_grad);
+
+  // Workers compute in parallel: charge the mean per worker.
+  stats->compute_seconds += batch->compute_sum / batch->active_workers() *
+                            cluster_.compute_scale;
+  ++stats->num_batches;
+  return common::Status::Ok();
+}
+
+common::Status DistributedTrainer::FinishEpoch(double total_nnz,
+                                               PendingBroadcast* broadcast,
+                                               EpochStats* stats) {
+  stats->avg_gradient_nnz =
+      stats->messages > 0 ? total_nnz / static_cast<double>(stats->messages)
+                          : 0.0;
+  stats->train_loss = ml::ComputeMeanLoss(*loss_, optimizer_->weights(),
+                                          *train_, config_.lambda, pool_.get());
   if (test_ != nullptr && config_.evaluate_test_loss) {
-    stats.test_loss = ml::ComputeMeanLoss(*loss_, optimizer_->weights(),
-                                          *test_, 0.0, pool_.get());
+    stats->test_loss = ml::ComputeMeanLoss(*loss_, optimizer_->weights(),
+                                           *test_, 0.0, pool_.get());
   }
   // The last broadcast overlapped the loss evaluation, whose pool chunks
   // only read the weights.
-  SKETCHML_RETURN_IF_ERROR(FoldBroadcast(&broadcast, &stats));
-  simulated_seconds_ += stats.TotalSeconds();
+  SKETCHML_RETURN_IF_ERROR(FoldBroadcast(broadcast, stats));
+  simulated_seconds_ += stats->TotalSeconds();
 
-  // Epoch-boundary cross-node telemetry aggregation: serialize each
-  // worker's window tail, merge it into the cluster-wide slot (KLL
-  // mergeability as the aggregation primitive), then retire everyone's
-  // window into the ring. Payload sizes are counted in telemetry/*
-  // only — never charged to the NetworkModel — so enabling metrics
-  // cannot perturb the modeled timings or the training output.
+  // Merge each worker's telemetry window tail into the cluster-wide slot
+  // (KLL mergeability), then retire the windows. Payload bytes count in
+  // telemetry/* only, never in the modeled network.
   if (metrics_.enabled) {
     MergeTelemetryTails(0, directory_.universe(), /*drain=*/false);
     obs::SketchHistogramRegistry::Global().AdvanceWindows();
@@ -879,25 +872,23 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
   if (checkpoints_enabled_ &&
       epochs_run_ % cluster_.membership.checkpoint_every == 0) {
     SKETCHML_RETURN_IF_ERROR(SaveCheckpoint(&checkpoint_));
-    stats.checkpoint_bytes = checkpoint_.size();
+    stats->checkpoint_bytes = checkpoint_.size();
     if (membership_metrics_.checkpoints) {
       membership_metrics_.checkpoint_bytes.Add(
           static_cast<double>(checkpoint_.size()));
     }
   }
 
-  // Rollbacks consumed since the last *reported* epoch, read only here —
-  // at the end of a successful attempt — so a chain of failed retries
-  // accumulates into the epoch that finally lands instead of each failed
-  // attempt swallowing its predecessor's count.
-  stats.rollbacks = pending_rollbacks_;
+  // Rollbacks since the last reported epoch, read only at the end of a
+  // successful attempt, so a chain of failed retries all count here.
+  stats->rollbacks = pending_rollbacks_;
   pending_rollbacks_ = 0;
-  if (stats.rollbacks > 0 && membership_metrics_.checkpoints) {
-    membership_metrics_.rollbacks.Add(static_cast<double>(stats.rollbacks));
+  if (stats->rollbacks > 0 && membership_metrics_.checkpoints) {
+    membership_metrics_.rollbacks.Add(static_cast<double>(stats->rollbacks));
   }
 
-  PublishEpochStats(stats);
-  return stats;
+  PublishEpochStats(*stats);
+  return common::Status::Ok();
 }
 
 DistributedTrainer::PendingBroadcast DistributedTrainer::LaunchBroadcast(
@@ -1048,13 +1039,7 @@ void DistributedTrainer::ApplyMembershipEvent(const MembershipEvent& event,
         const common::Status restored =
             worker_codecs_[event.worker]->RestoreState(&reader);
         if (restored.ok()) {
-          stats->handoff_bytes += blob.size();
-          stats->network_seconds +=
-              cluster_.network.TransferSeconds(blob.size());
-          if (membership_metrics_.churn) {
-            membership_metrics_.handoff_bytes.Add(
-                static_cast<double>(blob.size()));
-          }
+          ChargeHandoff(blob.size(), stats);
         } else {
           SKETCHML_LOG(Warning)
               << "worker " << event.worker
@@ -1079,12 +1064,7 @@ void DistributedTrainer::ApplyMembershipEvent(const MembershipEvent& event,
       worker_codecs_[event.worker]->SaveState(&writer);
       std::vector<uint8_t> blob = writer.TakeBuffer();
       if (!blob.empty()) {
-        stats->handoff_bytes += blob.size();
-        stats->network_seconds += cluster_.network.TransferSeconds(blob.size());
-        if (membership_metrics_.churn) {
-          membership_metrics_.handoff_bytes.Add(
-              static_cast<double>(blob.size()));
-        }
+        ChargeHandoff(blob.size(), stats);
         residual_escrow_.push_back(std::move(blob));
       }
       // Graceful handoff, step 2: drain the leaver's labeled telemetry
@@ -1133,15 +1113,6 @@ common::Status DistributedTrainer::ReconfigureShards(EpochStats* stats) {
     shard_values_[dest].Merge(values);
     return shard_keys_[dest].Merge(keys);
   };
-  const auto charge = [&](size_t bytes) {
-    stats->handoff_bytes += bytes;
-    stats->network_seconds +=
-        cluster_.network.TransferSeconds(static_cast<double>(bytes));
-    if (membership_metrics_.churn) {
-      membership_metrics_.handoff_bytes.Add(static_cast<double>(bytes));
-    }
-  };
-
   if (target < active_servers_) {
     // Scale-down: each retiring shard serializes its state and ships it
     // to a surviving shard, which merges it (mergeability makes this a
@@ -1149,7 +1120,7 @@ common::Status DistributedTrainer::ReconfigureShards(EpochStats* stats) {
     // shards learned is lost.
     for (int s = target; s < active_servers_; ++s) {
       const std::vector<uint8_t> blob = serialize_shard(s);
-      charge(blob.size());
+      ChargeHandoff(blob.size(), stats);
       SKETCHML_RETURN_IF_ERROR(merge_blob(blob, s % target));
       // Reset the retired shard so a later scale-up starts it fresh.
       shard_values_[s] = sketch::KllSketch(/*k=*/256, kShardSketchSeed);
@@ -1163,7 +1134,7 @@ common::Status DistributedTrainer::ReconfigureShards(EpochStats* stats) {
     // state is a superset of what the new shard will serve).
     for (int s = active_servers_; s < target; ++s) {
       const std::vector<uint8_t> blob = serialize_shard(s % active_servers_);
-      charge(blob.size());
+      ChargeHandoff(blob.size(), stats);
       SKETCHML_RETURN_IF_ERROR(merge_blob(blob, s));
     }
   }
@@ -1174,6 +1145,15 @@ common::Status DistributedTrainer::ReconfigureShards(EpochStats* stats) {
     membership_metrics_.reconfigurations.Increment();
   }
   return common::Status::Ok();
+}
+
+void DistributedTrainer::ChargeHandoff(size_t bytes, EpochStats* stats) {
+  stats->handoff_bytes += bytes;
+  stats->network_seconds +=
+      cluster_.network.TransferSeconds(static_cast<double>(bytes));
+  if (membership_metrics_.churn) {
+    membership_metrics_.handoff_bytes.Add(static_cast<double>(bytes));
+  }
 }
 
 void DistributedTrainer::UpdateShardState(const common::SparseGradient& grad) {
@@ -1297,11 +1277,20 @@ common::Status DistributedTrainer::RestoreFromBlob(
   SKETCHML_RETURN_IF_ERROR(reader.ReadVarint(&batches));
   SKETCHML_RETURN_IF_ERROR(reader.ReadDouble(&simulated));
   SKETCHML_RETURN_IF_ERROR(reader.ReadU8(&optimizer_kind));
+  if (epochs >= static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return common::Status::CorruptedData("checkpoint epoch count out of range");
+  }
   if ((optimizer_kind != 0) != config_.use_adam) {
     return common::Status::CorruptedData(
         "checkpoint optimizer kind does not match this trainer's config");
   }
-  SKETCHML_RETURN_IF_ERROR(optimizer_->RestoreState(&reader));
+  // Every section parses into scratch before anything is applied: the
+  // optimizer into a fresh twin, each codec lane into a fork of the
+  // driver lane (whether a lane blob parses depends on the codec's shape,
+  // not its seed lane; see GradientCodec::RestoreState).
+  std::unique_ptr<ml::Optimizer> optimizer =
+      MakeOptimizer(optimizer_->weights().size(), config_);
+  SKETCHML_RETURN_IF_ERROR(optimizer->RestoreState(&reader));
   uint64_t lanes = 0;
   SKETCHML_RETURN_IF_ERROR(reader.ReadVarint(&lanes));
   if (lanes != worker_codecs_.size()) {
@@ -1310,28 +1299,37 @@ common::Status DistributedTrainer::RestoreFromBlob(
         ") does not match this trainer (" +
         std::to_string(worker_codecs_.size()) + ")");
   }
-  const auto restore_lane =
-      [&reader](compress::GradientCodec* codec) -> common::Status {
+  // Worker lanes, then the driver/broadcast lane, each length-prefixed.
+  std::vector<std::span<const uint8_t>> blobs(worker_codecs_.size() + 1);
+  for (std::span<const uint8_t>& blob : blobs) {
     uint64_t size = 0;
     SKETCHML_RETURN_IF_ERROR(reader.ReadVarint(&size));
     if (size > reader.remaining()) {
       return common::Status::CorruptedData("checkpoint codec lane truncated");
     }
-    std::vector<uint8_t> blob(static_cast<size_t>(size));
-    if (size > 0) {
-      SKETCHML_RETURN_IF_ERROR(reader.ReadRaw(blob.data(), blob.size()));
+    SKETCHML_RETURN_IF_ERROR(reader.ReadSpan(size, &blob));
+    common::ByteReader lane(blob.data(), blob.size());
+    SKETCHML_RETURN_IF_ERROR(codec_->Fork(0)->RestoreState(&lane));
+    if (!lane.AtEnd()) {
+      return common::Status::CorruptedData("checkpoint codec lane too long");
     }
-    common::ByteReader lane(blob);
-    return codec->RestoreState(&lane);
-  };
-  for (const auto& codec : worker_codecs_) {
-    SKETCHML_RETURN_IF_ERROR(restore_lane(codec.get()));
   }
-  SKETCHML_RETURN_IF_ERROR(restore_lane(codec_.get()));
-  // All sections validated and applied; now the counters. A rollback
-  // rewinds the epoch number (the retried epoch keeps its index) but
-  // NOT the monotonic batch counter or the accumulated simulated time —
-  // the retry must draw fresh fault/membership decisions.
+  if (!reader.AtEnd()) {
+    return common::Status::CorruptedData("checkpoint has trailing bytes");
+  }
+
+  // Apply: a fork of each lane's shape has just parsed its blob.
+  optimizer_ = std::move(optimizer);
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    common::ByteReader lane(blobs[i].data(), blobs[i].size());
+    const common::Status restored =
+        (i < worker_codecs_.size() ? worker_codecs_[i] : codec_)
+            ->RestoreState(&lane);
+    SKETCHML_CHECK(restored.ok()) << restored.ToString();
+  }
+  // A rollback rewinds the epoch number (the retried epoch keeps its
+  // index) but NOT the monotonic batch counter or the accumulated
+  // simulated time — the retry must draw fresh fault/membership decisions.
   epochs_run_ = static_cast<int>(epochs);
   if (!for_rollback) {
     batches_run_ = batches;

@@ -93,12 +93,12 @@ struct TrainerConfig {
 
   bool evaluate_test_loss = true;
 
-  /// Threads executing the simulated workers (and, inside SketchML's
-  /// encoder, the two sign streams). 1 = serial on the calling thread
-  /// (default); 0 = one thread per hardware core; N > 1 = a fixed pool of
-  /// N. All values produce bit-identical messages, stats, and losses:
-  /// every worker owns a forked codec on its own seed lane and the driver
-  /// reduces gradients in fixed worker order, so only wall-clock changes.
+  /// Threads of the trainer's pool, which runs the workers' pushes, the
+  /// broadcast and the loss chunks. 1 = serial on the calling thread
+  /// (default); 0 = one thread per hardware core; N > 1 = a pool of N.
+  /// All values produce bit-identical messages, stats, and losses: every
+  /// worker owns a forked codec on its own seed lane and the driver
+  /// reduces gradients in fixed worker order.
   int num_threads = 1;
 
   /// Causal-trace sampling: while tracing is enabled, record the
@@ -116,23 +116,26 @@ struct TrainerConfig {
 /// Data-parallel mini-batch SGD with a pluggable gradient codec — the
 /// stand-in for the paper's Spark driver/executor prototype (§4.1).
 ///
-/// Per batch:
-///   1. the batch is range-partitioned over W executors; each computes a
-///      sparse gradient over its shard (measured, / W for parallelism);
-///   2. each executor encodes its gradient with the codec (measured) and
-///      "sends" it: bytes flow through the driver's link (modeled);
-///   3. the driver decodes W messages (measured, serial), averages them,
-///      and feeds the aggregate to the optimizer (Adam by default);
-///   4. the driver broadcasts the updated-weights delta, re-encoded with
-///      the same codec, to W executors (modeled). The weights are already
-///      updated, so this phase only produces accounting: it runs as one
-///      pool task (inline at its join without a pool) that overlaps the
-///      next batch's executors, and the driver folds its bytes, modeled
-///      and measured seconds and metrics into the epoch's stats at a
-///      join. The join comes before anything that must follow it in the
-///      serial order: the next batch's membership events and gather
-///      fold, the next broadcast, the checkpoint, and every return. So
-///      bytes, modeled seconds and losses are those of the serial loop.
+/// Each batch runs through the same stages (the private methods below):
+///   1. partition: membership events fire, and the batch is
+///      range-partitioned over the W active executors;
+///   2. push, one task per executor: compute a sparse gradient over its
+///      slice (measured, / W for parallelism), encode it per server shard
+///      (measured), send it with retries (modeled), decode it (measured);
+///   3. gather: join the pushes in worker order, folding each into the
+///      aggregate as it arrives; 4. reduce: stats, metrics and quorum;
+///   5. update: step the optimizer (Adam by default) on the mean;
+///   6. broadcast: re-encode the update with the same codec for W
+///      executors (modeled). The weights are already updated, so this
+///      stage only produces accounting: one pool task (inline at its join
+///      without a pool) that overlaps the next batch's pushes, folded into
+///      the epoch's stats at a join. The join comes before anything that
+///      follows it in the serial order: the next batch's membership
+///      events and gather fold, the next broadcast, the checkpoint, and
+///      every return. So bytes, modeled seconds and losses are those of
+///      the serial loop.
+/// These stages alone decide what runs on the pool; codecs run
+/// single-threaded inside a push or the broadcast.
 ///
 /// Lossy codecs therefore distort what the optimizer sees exactly once,
 /// matching the paper's architecture where compression sits on the
@@ -175,9 +178,9 @@ class DistributedTrainer {
   /// trainer continues as if the intervening epochs never ran. The blob
   /// may be arbitrary bytes off disk: truncation, bit flips, or a
   /// mismatched model shape surface kCorruptedData and leave the trainer
-  /// usable (a failed restore never half-applies state — parsing
-  /// validates the envelope and every section before the first counter
-  /// is touched).
+  /// usable and unchanged (a failed restore never half-applies state —
+  /// the envelope and every section, optimizer and codec lanes included,
+  /// parse into scratch before anything is applied).
   [[nodiscard]] common::Status RestoreCheckpoint(
       const std::vector<uint8_t>& checkpoint);
 
@@ -204,7 +207,7 @@ class DistributedTrainer {
   /// checkpoint-based retry loop).
   common::Result<EpochStats> RunEpochAttempt();
 
-  /// What one batch's broadcast (step 4) produced.
+  /// What one batch's broadcast produced.
   struct BroadcastResult {
     common::Status status;
     uint64_t bytes_down = 0;
@@ -223,7 +226,27 @@ class DistributedTrainer {
     double worker_decode_seconds = 0.0;
   };
 
-  /// Launches step 4 for an applied batch update: one pool task (or, with
+  struct WorkerResult;  // What one push produced (defined in trainer.cc).
+  struct Batch;         // One batch's state, shared by its stages.
+
+  /// Partition: the boundary's membership events (joining `broadcast`
+  /// first), then the slice plan and the batch's causal root.
+  common::Status PartitionBatch(size_t batch_start, size_t batch_end,
+                                PendingBroadcast* broadcast,
+                                EpochStats* stats, Batch* batch);
+  /// Push, a task per slice: gradient, encode, send, decode, recovery.
+  WorkerResult PushWorker(const Batch& batch, int slice);
+  /// Gather: dispatch the pushes, fold each on arrival, join `broadcast`.
+  common::Status GatherBatch(Batch* batch, PendingBroadcast* broadcast,
+                             EpochStats* stats);
+  /// Reduce, in worker order: statuses, stats, metrics, stalls, quorum,
+  /// gather time, and last the gather's key error.
+  common::Status ReduceBatch(Batch* batch, EpochStats* stats,
+                             double* total_nnz);
+  /// Update: the mean gradient, its finiteness check, the optimizer step.
+  common::Status ApplyUpdate(Batch* batch, EpochStats* stats);
+
+  /// Broadcast for an applied batch update: one pool task (or, with
   /// no pool, a task that runs at its join) that owns the update's shards
   /// and runs under the trace context current at launch.
   PendingBroadcast LaunchBroadcast(common::SparseGradient update,
@@ -235,6 +258,11 @@ class DistributedTrainer {
   /// bytes, seconds and driver_seconds metrics into `stats`; returns the
   /// broadcast's codec error, if any.
   common::Status FoldBroadcast(PendingBroadcast* pending, EpochStats* stats);
+
+  /// Epoch tail: losses, the last join, telemetry, the checkpoint, rollbacks
+  /// and the published stats.
+  common::Status FinishEpoch(double total_nnz, PendingBroadcast* broadcast,
+                             EpochStats* stats);
 
   /// Serializes trainer state into the (unframed) checkpoint payload.
   void BuildCheckpointPayload(std::vector<uint8_t>* payload) const;
@@ -258,6 +286,9 @@ class DistributedTrainer {
   /// sketch state shard-to-shard (serialize → transfer → merge, bytes
   /// charged to the NetworkModel) and rebuilds the consistent-hash ring.
   common::Status ReconfigureShards(EpochStats* stats);
+
+  /// Charges a membership handoff blob of `bytes` to the network.
+  void ChargeHandoff(size_t bytes, EpochStats* stats);
 
   /// Feeds the batch's aggregated gradient into the owning shards'
   /// mergeable state (KLL over |value|, MinMaxSketch key->bucket cache).
@@ -364,12 +395,12 @@ class DistributedTrainer {
   /// active and metrics are on. Published from the driver's fixed-order
   /// reduce loop (single writer), never from worker threads.
   struct FaultMetrics {
+    static constexpr int kWorkerKinds = 4;
+    static constexpr const char* kKindNames[kWorkerKinds] = {
+        "drop", "corrupt", "straggle", "crash"};
     bool enabled = false;
-    // fault/injected{kind=...,worker=w} per kind, net/* per worker.
-    std::vector<obs::Counter> injected_drop;
-    std::vector<obs::Counter> injected_corrupt;   // {kind=corrupt,worker=w}
-    std::vector<obs::Counter> injected_straggle;  // {kind=straggle,worker=w}
-    std::vector<obs::Counter> injected_crash;     // {kind=crash,worker=w}
+    // fault/injected{kind=kKindNames[k],worker=w}, net/* per worker.
+    std::vector<obs::Counter> injected[kWorkerKinds];
     std::vector<obs::Counter> injected_stall;     // {kind=stall,server=s}
     std::vector<obs::Counter> retries;            // net/retries{worker=w}
     std::vector<obs::Counter> retransmit_bytes;

@@ -84,17 +84,25 @@ void AdamOptimizer::Apply(const common::SparseGradient& grad) {
 }
 
 void AdamOptimizer::SaveState(common::ByteWriter* writer) const {
-  Optimizer::SaveState(writer);
+  WriteVector(weights_, writer);  // What Optimizer::SaveState writes.
   writer->WriteVarint(step_);
   WriteVector(m_, writer);
   WriteVector(v_, writer);
 }
 
 common::Status AdamOptimizer::RestoreState(common::ByteReader* reader) {
-  SKETCHML_RETURN_IF_ERROR(Optimizer::RestoreState(reader));
-  SKETCHML_RETURN_IF_ERROR(reader->ReadVarint(&step_));
-  SKETCHML_RETURN_IF_ERROR(ReadVector(reader, m_.size(), &m_));
-  return ReadVector(reader, v_.size(), &v_);
+  // Every field parses before any is assigned: a failure changes nothing.
+  DenseVector weights, m, v;
+  uint64_t step = 0;
+  SKETCHML_RETURN_IF_ERROR(ReadVector(reader, weights_.size(), &weights));
+  SKETCHML_RETURN_IF_ERROR(reader->ReadVarint(&step));
+  SKETCHML_RETURN_IF_ERROR(ReadVector(reader, m_.size(), &m));
+  SKETCHML_RETURN_IF_ERROR(ReadVector(reader, v_.size(), &v));
+  weights_ = std::move(weights);
+  step_ = step;
+  m_ = std::move(m);
+  v_ = std::move(v);
+  return common::Status::Ok();
 }
 
 }  // namespace sketchml::ml

@@ -36,8 +36,9 @@ class Optimizer {
 
   /// Restores state written by `SaveState` on an optimizer of the same
   /// kind and dimension. Input may come from a corrupted checkpoint:
-  /// dimension mismatches and truncation surface kCorruptedData, and the
-  /// weight vector is only overwritten after the blob's header validates.
+  /// dimension mismatches and truncation surface kCorruptedData, and a
+  /// failed restore changes nothing (every field parses before any is
+  /// assigned).
   [[nodiscard]] virtual common::Status RestoreState(
       common::ByteReader* reader);
 

@@ -2,9 +2,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/byte_buffer.h"
+#include "common/random.h"
 #include "core/codec_factory.h"
 #include "dist/checkpoint.h"
 #include "dist/trainer.h"
@@ -251,25 +254,78 @@ TEST(TrainerCheckpointTest, RejectsCheckpointFromMismatchedOptimizer) {
       << status.ToString();
 }
 
+/// Expects `trainer`, whose restore was just refused, to hold `weights`
+/// still and to run its next epoch exactly as `twin`, which never saw the
+/// checkpoint.
+void ExpectUntouched(DistributedTrainer* trainer,
+                     const std::vector<double>& weights,
+                     DistributedTrainer* twin) {
+  EXPECT_EQ(trainer->optimizer().weights(), weights);
+  EXPECT_EQ(trainer->epochs_run(), twin->epochs_run());
+  auto next = trainer->RunEpoch();
+  auto twin_next = twin->RunEpoch();
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ASSERT_TRUE(twin_next.ok()) << twin_next.status().ToString();
+  ExpectDeterministicFieldsEqual(*next, *twin_next);
+  EXPECT_EQ(trainer->optimizer().weights(), twin->optimizer().weights());
+}
+
 TEST(TrainerCheckpointTest, RejectsCheckpointFromDifferentFleetShape) {
   // Codec lane count is part of the trainer shape: a 4-worker checkpoint
-  // cannot restore into a 2-worker trainer.
+  // cannot restore into a 2-worker trainer, and the refusal applies none
+  // of its sections, the optimizer included.
   Fixture f;
   ClusterConfig four;
   four.num_workers = 4;
   DistributedTrainer a(f.train.get(), nullptr, f.loss.get(),
                        f.Codec("sketchml"), four, f.Config());
-  ASSERT_TRUE(a.Run(1).ok());
+  ASSERT_TRUE(a.Run(2).ok());
   std::vector<uint8_t> checkpoint;
   ASSERT_TRUE(a.SaveCheckpoint(&checkpoint).ok());
   ClusterConfig two;
   two.num_workers = 2;
   DistributedTrainer b(f.train.get(), nullptr, f.loss.get(),
                        f.Codec("sketchml"), two, f.Config());
+  DistributedTrainer twin(f.train.get(), nullptr, f.loss.get(),
+                          f.Codec("sketchml"), two, f.Config());
+  ASSERT_TRUE(b.Run(1).ok());
+  ASSERT_TRUE(twin.Run(1).ok());
+  const std::vector<double> weights = b.optimizer().weights();
   const common::Status status = b.RestoreCheckpoint(checkpoint);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("lane count"), std::string::npos)
       << status.ToString();
+  ExpectUntouched(&b, weights, &twin);
+}
+
+TEST(TrainerCheckpointTest, TruncatedLastLaneLeavesTheTrainerUntouched) {
+  // A payload re-sealed after its last byte is cut passes the CRC; the
+  // driver lane, parsed last, is then short. Nothing before it (counters,
+  // optimizer, worker lanes) may have been applied.
+  Fixture f;
+  ClusterConfig cluster;
+  cluster.num_workers = 2;
+  DistributedTrainer a(f.train.get(), nullptr, f.loss.get(),
+                       f.Codec("sketchml"), cluster, f.Config());
+  ASSERT_TRUE(a.Run(2).ok());
+  std::vector<uint8_t> checkpoint, payload;
+  ASSERT_TRUE(a.SaveCheckpoint(&checkpoint).ok());
+  ASSERT_TRUE(OpenCheckpoint(checkpoint, &payload).ok());
+  payload.pop_back();
+  SealCheckpoint(payload, &checkpoint);
+
+  DistributedTrainer b(f.train.get(), nullptr, f.loss.get(),
+                       f.Codec("sketchml"), cluster, f.Config());
+  DistributedTrainer twin(f.train.get(), nullptr, f.loss.get(),
+                          f.Codec("sketchml"), cluster, f.Config());
+  ASSERT_TRUE(b.Run(1).ok());
+  ASSERT_TRUE(twin.Run(1).ok());
+  const std::vector<double> weights = b.optimizer().weights();
+  const common::Status status = b.RestoreCheckpoint(checkpoint);
+  ASSERT_EQ(status.code(), common::StatusCode::kCorruptedData);
+  EXPECT_NE(status.message().find("lane truncated"), std::string::npos)
+      << status.ToString();
+  ExpectUntouched(&b, weights, &twin);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,6 +411,196 @@ TEST(CheckpointRollbackTest, RollbackBudgetIsEnforced) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), common::StatusCode::kUnavailable);
   EXPECT_LE(trainer.rollbacks_used(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Payload fuzz: damage inside a re-sealed envelope passes the CRC, so the
+// counter, optimizer and codec-lane parsers meet it. Each damaged payload
+// is refused with the trainer unchanged, or restores a state the trainer
+// can run an epoch from; nothing aborts or allocates past the payload.
+
+/// A trainer small enough to restore every prefix of its checkpoint.
+struct SmallFixture {
+  SmallFixture() {
+    ml::SyntheticConfig config;
+    config.num_instances = 200;
+    config.dim = 48;
+    config.avg_nnz = 6;
+    config.seed = 29;
+    train = std::make_unique<ml::Dataset>(ml::GenerateSynthetic(config));
+    loss = ml::MakeLoss("lr");
+  }
+
+  std::unique_ptr<DistributedTrainer> Make(const std::string& codec) const {
+    ClusterConfig cluster;
+    cluster.num_workers = 3;
+    TrainerConfig config;
+    config.evaluate_test_loss = false;
+    return std::make_unique<DistributedTrainer>(
+        train.get(), nullptr, loss.get(),
+        std::move(core::MakeCodec(codec)).value(), cluster, config);
+  }
+
+  std::unique_ptr<ml::Dataset> train;
+  std::unique_ptr<ml::Loss> loss;
+};
+
+/// A target trainer one epoch in, and the payload of a same-shape trainer
+/// two epochs in.
+struct PayloadCase {
+  std::unique_ptr<DistributedTrainer> target;
+  std::vector<uint8_t> payload;
+};
+
+PayloadCase MakePayloadCase(const SmallFixture& f, const std::string& codec) {
+  PayloadCase c;
+  auto source = f.Make(codec);
+  EXPECT_TRUE(source->Run(2).ok());
+  std::vector<uint8_t> checkpoint;
+  EXPECT_TRUE(source->SaveCheckpoint(&checkpoint).ok());
+  EXPECT_TRUE(OpenCheckpoint(checkpoint, &c.payload).ok());
+  c.target = f.Make(codec);
+  EXPECT_TRUE(c.target->Run(1).ok());
+  return c;
+}
+
+/// Offsets of the payload's count fields: the epoch counter, the weight
+/// and both moment counts, the lane count and every lane's size.
+std::vector<size_t> CountFieldOffsets(const std::vector<uint8_t>& payload) {
+  common::ByteReader reader(payload);
+  uint64_t value = 0;
+  double simulated = 0.0;
+  uint8_t kind = 0;
+  std::span<const uint8_t> skipped;
+  std::vector<size_t> offsets = {reader.position()};
+  EXPECT_TRUE(reader.ReadVarint(&value).ok());  // Epochs.
+  EXPECT_TRUE(reader.ReadVarint(&value).ok());  // Batches.
+  EXPECT_TRUE(reader.ReadDouble(&simulated).ok());
+  EXPECT_TRUE(reader.ReadU8(&kind).ok());
+  const auto skip_vector = [&] {
+    offsets.push_back(reader.position());
+    EXPECT_TRUE(reader.ReadVarint(&value).ok());
+    EXPECT_TRUE(reader.ReadSpan(value * sizeof(double), &skipped).ok());
+  };
+  skip_vector();                                // Weights.
+  EXPECT_TRUE(reader.ReadVarint(&value).ok());  // Adam's step.
+  skip_vector();                                // First moments.
+  skip_vector();                                // Second moments.
+  offsets.push_back(reader.position());
+  uint64_t lanes = 0;
+  EXPECT_TRUE(reader.ReadVarint(&lanes).ok());
+  for (uint64_t lane = 0; lane <= lanes; ++lane) {  // Workers, then driver.
+    offsets.push_back(reader.position());
+    EXPECT_TRUE(reader.ReadVarint(&value).ok());
+    EXPECT_TRUE(reader.ReadSpan(value, &skipped).ok());
+  }
+  EXPECT_TRUE(reader.AtEnd());
+  return offsets;
+}
+
+/// `payload` with the varint at `offset` replaced by `value`.
+std::vector<uint8_t> PatchVarint(const std::vector<uint8_t>& payload,
+                                 size_t offset, uint64_t value) {
+  size_t end = offset;
+  while (payload[end] & 0x80) ++end;
+  common::ByteWriter varint;
+  varint.WriteVarint(value);
+  std::vector<uint8_t> out(payload.begin(), payload.begin() + offset);
+  out.insert(out.end(), varint.buffer().begin(), varint.buffer().end());
+  out.insert(out.end(), payload.begin() + end + 1, payload.end());
+  return out;
+}
+
+/// Seals `payload` and restores it into `trainer`. Returns the restore's
+/// status after checking the contract: refused means kCorruptedData with
+/// the weights and epoch count unchanged; accepted means the trainer
+/// still runs an epoch (which may fail, but returns and counts).
+common::Status RestoreOrRefuse(DistributedTrainer* trainer,
+                               const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> sealed;
+  SealCheckpoint(payload, &sealed);
+  const std::vector<double> weights = trainer->optimizer().weights();
+  const int epochs = trainer->epochs_run();
+  const common::Status status = trainer->RestoreCheckpoint(sealed);
+  if (status.ok()) {
+    // Damaged but parseable values (a NaN weight, say) may fail the
+    // epoch; it must still run and count.
+    const int restored_epochs = trainer->epochs_run();
+    const bool completed = trainer->RunEpoch().ok();
+    EXPECT_EQ(trainer->epochs_run(), restored_epochs + 1) << completed;
+  } else {
+    EXPECT_EQ(status.code(), common::StatusCode::kCorruptedData);
+    EXPECT_EQ(trainer->optimizer().weights(), weights);
+    EXPECT_EQ(trainer->epochs_run(), epochs);
+  }
+  return status;
+}
+
+const char* const kFuzzCodecs[] = {"sketchml", "zipml-8bit"};
+
+TEST(CheckpointPayloadFuzzTest, EveryTruncationIsRefusedUnapplied) {
+  SmallFixture f;
+  for (const char* codec : kFuzzCodecs) {
+    PayloadCase c = MakePayloadCase(f, codec);
+    for (size_t len = 0; len < c.payload.size(); ++len) {
+      SCOPED_TRACE(testing::Message() << codec << " prefix " << len);
+      EXPECT_FALSE(
+          RestoreOrRefuse(c.target.get(),
+                          std::vector<uint8_t>(c.payload.begin(),
+                                               c.payload.begin() + len))
+              .ok());
+    }
+    EXPECT_TRUE(RestoreOrRefuse(c.target.get(), c.payload).ok()) << codec;
+  }
+}
+
+TEST(CheckpointPayloadFuzzTest, HugeCountFieldsAreRefusedUnapplied) {
+  SmallFixture f;
+  for (const char* codec : kFuzzCodecs) {
+    PayloadCase c = MakePayloadCase(f, codec);
+    for (const size_t offset : CountFieldOffsets(c.payload)) {
+      for (const uint64_t huge : {uint64_t{1} << 31, uint64_t{1} << 40,
+                                  uint64_t{1} << 63}) {
+        SCOPED_TRACE(testing::Message()
+                     << codec << " field at " << offset << " = " << huge);
+        EXPECT_FALSE(RestoreOrRefuse(c.target.get(),
+                                     PatchVarint(c.payload, offset, huge))
+                         .ok());
+      }
+    }
+  }
+}
+
+TEST(CheckpointPayloadFuzzTest, SeededBitFlipsRestoreOrAreRefusedUnapplied) {
+  SmallFixture f;
+  common::Rng rng(353);
+  for (const char* codec : kFuzzCodecs) {
+    PayloadCase c = MakePayloadCase(f, codec);
+    const std::vector<size_t> fields = CountFieldOffsets(c.payload);
+    int refused = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      std::vector<uint8_t> flipped = c.payload;
+      const int flips = 1 + static_cast<int>(rng.NextBounded(4));
+      for (int i = 0; i < flips; ++i) {
+        // Half the trials aim at the count fields, where a flip changes
+        // the shape the parsers see; the rest land anywhere.
+        const size_t at =
+            trial % 2 == 0
+                ? fields[rng.NextBounded(fields.size())]
+                : static_cast<size_t>(rng.NextBounded(flipped.size()));
+        flipped[at] ^= static_cast<uint8_t>(1u << rng.NextBounded(8));
+      }
+      SCOPED_TRACE(testing::Message() << codec << " trial " << trial);
+      if (!RestoreOrRefuse(c.target.get(), flipped).ok()) {
+        ++refused;
+      } else {
+        // A flipped weight may be NaN; start the next trial from the
+        // intact state so "unchanged" compares finite weights.
+        ASSERT_TRUE(RestoreOrRefuse(c.target.get(), c.payload).ok());
+      }
+    }
+    EXPECT_GT(refused, 0) << codec;
+  }
 }
 
 }  // namespace

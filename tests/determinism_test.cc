@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/sketchml.h"
 #include "dist/trainer.h"
 #include "ml/synthetic.h"
@@ -188,30 +187,6 @@ TEST(DeterminismTest, SerialAndParallelEpochsAreBitIdentical) {
     rollbacks += epoch.rollbacks;
   }
   EXPECT_GT(rollbacks, 0u);
-}
-
-TEST(DeterminismTest, PooledSignStreamEncodeMatchesSerialBytes) {
-  // SketchMlCodec with a thread pool encodes its two sign streams as
-  // parallel tasks into side buffers; the concatenated message must be
-  // byte-identical to the single-threaded layout.
-  common::SparseGradient grad;
-  common::Rng rng(467);
-  uint64_t key = 0;
-  for (int i = 0; i < 3000; ++i) {
-    key += 1 + rng.NextBounded(20);
-    grad.push_back({key, rng.NextGaussian() * 0.05});
-  }
-  common::ThreadPool pool(4);
-  for (int round = 0; round < 4; ++round) {
-    core::SketchMlCodec serial, pooled;
-    pooled.SetThreadPool(&pool);
-    compress::EncodedGradient serial_msg, pooled_msg;
-    ASSERT_TRUE(serial.Encode(grad, &serial_msg).ok());
-    ASSERT_TRUE(pooled.Encode(grad, &pooled_msg).ok());
-    EXPECT_EQ(serial_msg.bytes, pooled_msg.bytes);
-    EXPECT_EQ(serial.last_space_cost().Total(),
-              pooled.last_space_cost().Total());
-  }
 }
 
 TEST(DeterminismTest, CodecBankLanesAreIndependentAndReplayable) {

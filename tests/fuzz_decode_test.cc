@@ -3,11 +3,12 @@
 // returning a Status (or, for undetectable flips, a decoded gradient),
 // never by crashing, hanging, or attempting giant allocations. Whatever
 // an OK decode yields, its keys strictly increase. The sketch blobs a node
-// reads outside the codecs (KLL, MinMax and grouped MinMax state) get the
-// same treatment.
+// reads outside the codecs (KLL, MinMax and grouped MinMax state, bucket
+// means) get the same treatment.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/framing.h"
 #include "common/random.h"
 #include "common/sparse.h"
+#include "compress/quantile_bucket_quantizer.h"
 #include "core/codec_factory.h"
 #include "sketch/grouped_min_max_sketch.h"
 #include "sketch/kll_sketch.h"
@@ -248,6 +250,17 @@ common::Status ParseGrouped(const Blob& blob, bool* sane) {
   return sketch::GroupedMinMaxSketch::Deserialize(&reader, &out);
 }
 
+common::Status ParseMeans(const Blob& blob, bool* sane) {
+  common::ByteReader reader(blob);
+  QuantileBucketQuantizer out({0.0, 0.0});
+  const auto status = QuantileBucketQuantizer::DeserializeMeans(&reader, &out);
+  *sane = true;
+  for (int b = 0; status.ok() && b < out.num_buckets(); ++b) {
+    *sane = *sane && std::isfinite(out.MeanOf(b));
+  }
+  return status;
+}
+
 struct SketchBlob {
   std::string name;
   Blob bytes;
@@ -313,6 +326,19 @@ std::vector<SketchBlob> SketchBlobs() {
     grouped_blob.patched.push_back(PatchVarint(grouped_blob.bytes, 4, value));
   }
   blobs.push_back(std::move(grouped_blob));
+
+  std::vector<double> values(3000);
+  for (double& v : values) v = rng.NextGaussian();
+  const QuantileBucketQuantizer quantizer =
+      QuantileBucketQuantizer::Build(values, 64, 128, 7);
+  common::ByteWriter means_writer;
+  quantizer.SerializeMeans(&means_writer);
+  SketchBlob means_blob{"means", means_writer.buffer(), &ParseMeans, {}};
+  // The bucket count is the first varint.
+  for (uint64_t value : huge) {
+    means_blob.patched.push_back(PatchVarint(means_blob.bytes, 0, value));
+  }
+  blobs.push_back(std::move(means_blob));
   return blobs;
 }
 

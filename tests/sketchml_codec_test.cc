@@ -9,7 +9,6 @@
 #include "common/byte_buffer.h"
 #include "common/random.h"
 #include "common/sparse.h"
-#include "common/thread_pool.h"
 #include "sketch/kll_sketch.h"
 #include "compress/delta_binary_key_codec.h"
 #include "compress/raw_codec.h"
@@ -245,34 +244,29 @@ TEST(SketchMlCodecTest, SingleElementGradient) {
 // (dim = 2^20). Every run shape must come out strictly increasing and
 // equal to the sent keys on both paths.
 TEST(SketchMlCodecTest, DecodedKeysStrictlyIncreaseForEveryRunShape) {
-  common::ThreadPool pool(2);
-  for (const bool pooled : {false, true}) {
-    for (const int groups : {1, 8}) {
-      for (const int sign : {+1, -1, 0}) {  // All positive/negative, mixed.
-        for (const size_t count : {size_t{1}, size_t{60}, size_t{4000}}) {
-          for (const uint64_t dim : {uint64_t{1} << 20, 2 * count}) {
-            SketchMlConfig config;
-            config.num_groups = groups;
-            config.seed = 500 + count;
-            SketchMlCodec codec(config);
-            // The pool only engages when both sign streams are non-empty.
-            if (pooled) codec.SetThreadPool(&pool);
-            common::SparseGradient grad =
-                MakeGradient(count, dim, 600 + count * 3 + groups);
-            if (sign != 0) {
-              for (auto& pair : grad) {
-                pair.value = sign * (std::abs(pair.value) + 1e-9);
-              }
+  for (const int groups : {1, 8}) {
+    for (const int sign : {+1, -1, 0}) {  // All positive/negative, mixed.
+      for (const size_t count : {size_t{1}, size_t{60}, size_t{4000}}) {
+        for (const uint64_t dim : {uint64_t{1} << 20, 2 * count}) {
+          SketchMlConfig config;
+          config.num_groups = groups;
+          config.seed = 500 + count;
+          SketchMlCodec codec(config);
+          common::SparseGradient grad =
+              MakeGradient(count, dim, 600 + count * 3 + groups);
+          if (sign != 0) {
+            for (auto& pair : grad) {
+              pair.value = sign * (std::abs(pair.value) + 1e-9);
             }
-            compress::EncodedGradient msg;
-            ASSERT_TRUE(codec.Encode(grad, &msg).ok());
-            common::SparseGradient decoded;
-            ASSERT_TRUE(codec.Decode(msg, &decoded).ok());
-            EXPECT_TRUE(common::IsSortedByKey(decoded))
-                << "pooled=" << pooled << " groups=" << groups
-                << " sign=" << sign << " count=" << count << " dim=" << dim;
-            EXPECT_EQ(common::Keys(decoded), common::Keys(grad));
           }
+          compress::EncodedGradient msg;
+          ASSERT_TRUE(codec.Encode(grad, &msg).ok());
+          common::SparseGradient decoded;
+          ASSERT_TRUE(codec.Decode(msg, &decoded).ok());
+          EXPECT_TRUE(common::IsSortedByKey(decoded))
+              << "groups=" << groups << " sign=" << sign
+              << " count=" << count << " dim=" << dim;
+          EXPECT_EQ(common::Keys(decoded), common::Keys(grad));
         }
       }
     }

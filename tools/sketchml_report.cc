@@ -6,8 +6,12 @@
 //       error, from a --series-out time-series.
 //
 //   sketchml_report --trace=run.trace.json --metrics=run.metrics.jsonl
-//       span totals from a Chrome trace and/or a metrics snapshot table;
-//       combinable with a series file.
+//       span totals and the critical-path report of a Chrome trace (each
+//       epoch's wall time attributed to compute/encode/decode/aggregate/
+//       update/other, modeled network and retry time, stragglers), and/or
+//       a metrics snapshot table; combinable with a series file.
+//       --json/--diff-golden write or check the critical-path report's
+//       JSON, whose "structural" section is deterministic for a seed.
 //
 //   sketchml_report --baseline=a.series.jsonl --candidate=b.series.jsonl
 //       A/B regression gate: flags every metric whose relative change
@@ -16,13 +20,17 @@
 //       deterministic count). --ignore-times skips wall-clock metrics so
 //       fixed-seed runs compare deterministically across machines.
 //
-// Exit codes: 0 ok, 1 regression found, 2 usage or input error.
+// Exit codes: 0 ok; 1 regression found, orphan spans or multi-root
+// batches in the trace, or a structural mismatch against the golden;
+// 2 usage or input error, or dropped trace events (incomplete trees).
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "common/flags.h"
 #include "dist/report.h"
+#include "dist/trace_analysis.h"
 
 namespace {
 
@@ -33,7 +41,12 @@ constexpr char kUsage[] = R"(sketchml_report [flags] [series.jsonl]
   SERIES.JSONL          time-series from sketchml_train --series-out:
                         prints phase totals, per-worker/server breakdown,
                         per-codec compression, per-epoch stragglers
-  --trace=PATH          summarize a Chrome trace (*.trace.json)
+  --trace=PATH          span totals and critical path of a Chrome trace
+  --json=PATH           write the trace's critical-path report as JSON
+  --diff-golden=PATH    compare the trace report's structural fields
+                        with a golden report JSON; exit 1 on mismatch
+  --allow-dropped       analyze a trace with dropped events anyway
+  --quiet               print no trace tables
   --metrics=PATH        print a metrics snapshot (*.metrics.jsonl)
   --baseline=PATH       A/B mode: baseline series file
   --candidate=PATH      A/B mode: candidate series file
@@ -50,6 +63,79 @@ constexpr char kUsage[] = R"(sketchml_report [flags] [series.jsonl]
 int Fail(const common::Status& status) {
   std::fprintf(stderr, "error: %s\n%s", status.ToString().c_str(), kUsage);
   return 2;
+}
+
+struct TraceOptions {
+  std::string json_out;
+  std::string golden_path;
+  bool allow_dropped = false;
+  bool quiet = false;
+};
+
+/// The --trace mode: span totals and the critical-path report for
+/// `trace_path`. Returns the exit code: 2 for unreadable input or dropped
+/// events, 1 for orphan spans, multi-root batches or a golden mismatch.
+int ReportTrace(const std::string& trace_path, const TraceOptions& options,
+                bool separate) {
+  auto trace = dist::LoadChromeTrace(trace_path);
+  if (!trace.ok()) return Fail(trace.status());
+  if (trace->dropped_events > 0 && !options.allow_dropped) {
+    std::fprintf(stderr,
+                 "error: %s dropped %llu trace events to ring wraparound, "
+                 "so its causal trees are incomplete; raise the ring "
+                 "capacity, sample batches (--trace-sample-every) or pass "
+                 "--allow-dropped\n",
+                 trace_path.c_str(),
+                 static_cast<unsigned long long>(trace->dropped_events));
+    return 2;
+  }
+  auto report = dist::AnalyzeTrace(*trace);
+  if (!options.quiet) {
+    if (separate) std::printf("\n");
+    std::printf("%s",
+                dist::RenderTraceSummary(dist::SummarizeTrace(*trace)).c_str());
+    if (report.ok()) {
+      std::printf("\n%s", dist::RenderCriticalPathReport(*report).c_str());
+    }
+  }
+  if (!report.ok()) return Fail(report.status());
+
+  const std::string report_json = dist::CriticalPathReportToJson(*report);
+  if (!options.json_out.empty()) {
+    std::ofstream out(options.json_out, std::ios::binary | std::ios::trunc);
+    out << report_json;
+    if (!out) {
+      return Fail(common::Status::IoError("cannot write " + options.json_out));
+    }
+  }
+
+  int exit_code = 0;
+  if (report->orphan_spans > 0 || report->multi_root_traces > 0) {
+    std::fprintf(stderr,
+                 "error: causal reconstruction incomplete: %llu orphan "
+                 "spans, %llu multi-root traces\n",
+                 static_cast<unsigned long long>(report->orphan_spans),
+                 static_cast<unsigned long long>(report->multi_root_traces));
+    exit_code = 1;
+  }
+  if (!options.golden_path.empty()) {
+    auto golden_text = dist::ReadFileToString(options.golden_path);
+    if (!golden_text.ok()) return Fail(golden_text.status());
+    auto mismatches = dist::DiffStructuralJson(*golden_text, report_json);
+    if (!mismatches.ok()) return Fail(mismatches.status());
+    if (mismatches->empty()) {
+      std::printf("structural diff vs %s: OK (%s)\n",
+                  options.golden_path.c_str(), trace_path.c_str());
+    } else {
+      std::fprintf(stderr, "structural diff vs %s: %zu mismatch(es)\n",
+                   options.golden_path.c_str(), mismatches->size());
+      for (const std::string& mismatch : *mismatches) {
+        std::fprintf(stderr, "  %s\n", mismatch.c_str());
+      }
+      exit_code = 1;
+    }
+  }
+  return exit_code;
 }
 
 }  // namespace
@@ -73,6 +159,11 @@ int main(int argc, char** argv) {
   const bool ignore_times = flags.GetBool("ignore-times", false);
   const bool allow_simd_mismatch =
       flags.GetBool("allow-simd-mismatch", false);
+  TraceOptions trace_options;
+  trace_options.json_out = flags.GetString("json", "");
+  trace_options.golden_path = flags.GetString("diff-golden", "");
+  trace_options.allow_dropped = flags.GetBool("allow-dropped", false);
+  trace_options.quiet = flags.GetBool("quiet", false);
   for (const auto& unused : flags.UnusedFlags()) {
     std::fprintf(stderr, "warning: unknown flag --%s ignored\n",
                  unused.c_str());
@@ -82,6 +173,11 @@ int main(int argc, char** argv) {
     return Fail(common::Status::InvalidArgument(
         "--baseline and --candidate must be given together"));
   }
+  if (trace_path.empty() &&
+      (!trace_options.json_out.empty() || !trace_options.golden_path.empty())) {
+    return Fail(common::Status::InvalidArgument(
+        "--json and --diff-golden report on a trace: give --trace"));
+  }
 
   const auto& positional = flags.positional();
   if (positional.size() > 1) {
@@ -90,6 +186,7 @@ int main(int argc, char** argv) {
   }
 
   bool did_anything = false;
+  int exit_code = 0;
 
   if (positional.size() == 1) {
     auto series = dist::LoadRunSeries(positional[0]);
@@ -100,11 +197,8 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    auto trace = dist::LoadChromeTrace(trace_path);
-    if (!trace.ok()) return Fail(trace.status());
-    if (did_anything) std::printf("\n");
-    std::printf("%s",
-                dist::RenderTraceSummary(dist::SummarizeTrace(*trace)).c_str());
+    exit_code = ReportTrace(trace_path, trace_options, did_anything);
+    if (exit_code == 2) return exit_code;
     did_anything = true;
   }
 
@@ -143,7 +237,7 @@ int main(int argc, char** argv) {
     std::printf("baseline:  %s\ncandidate: %s\n%s", baseline_path.c_str(),
                 candidate_path.c_str(),
                 dist::RenderDiff(diff, options).c_str());
-    return diff.HasRegression() ? 1 : 0;
+    return diff.HasRegression() ? 1 : exit_code;
   }
 
   if (!did_anything) {
@@ -151,5 +245,5 @@ int main(int argc, char** argv) {
         "nothing to do: give a series file, --trace/--metrics, or "
         "--baseline/--candidate"));
   }
-  return 0;
+  return exit_code;
 }
